@@ -1,5 +1,9 @@
 #include "bgp/rib.hpp"
 
+#include <atomic>
+
+#include "obs/metrics.hpp"
+#include "obs/names.hpp"
 #include "util/hash.hpp"
 #include "util/result.hpp"
 
@@ -17,23 +21,53 @@ std::string Route::to_string() const {
   return out;
 }
 
+const Rib::Table& Rib::empty_table() noexcept {
+  static const Table empty;
+  return empty;
+}
+
+Rib::Table& Rib::owned_table() {
+  if (!table_) {
+    table_ = std::make_shared<Table>();
+  } else if (table_.use_count() != 1) {
+    static obs::Counter& detach_counter =
+        obs::MetricsRegistry::global().counter(obs::names::kRibDetaches);
+    detach_counter.add();
+    table_ = std::make_shared<Table>(*table_);
+  } else {
+    // Sole owner: pair with the release of whichever thread dropped the
+    // last other reference, so its reads finish before this write.
+    std::atomic_thread_fence(std::memory_order_acquire);
+  }
+  return *table_;
+}
+
 bool Rib::upsert(Route route) {
+  // A no-op upsert must not detach a shared table.
+  if (table_ && table_.use_count() != 1) {
+    const Route* current = find(route.prefix);
+    if (current != nullptr && *current == route) return false;
+  }
   // try_emplace only constructs the mapped value when it inserts, so the
   // move below never fires on the replace path (where `route` is still
   // needed for the comparison). Pair members initialize first-then-second:
   // the key is copied out of `route` before the move runs.
-  auto [it, inserted] = table_.try_emplace(route.prefix, std::move(route));
+  auto [it, inserted] = owned_table().try_emplace(route.prefix, std::move(route));
   if (inserted) return true;
   if (it->second == route) return false;
   it->second = std::move(route);
   return true;
 }
 
-bool Rib::erase(const util::IpPrefix& prefix) { return table_.erase(prefix) > 0; }
+bool Rib::erase(const util::IpPrefix& prefix) {
+  if (find(prefix) == nullptr) return false;  // absent: never detach
+  return owned_table().erase(prefix) > 0;
+}
 
 const Route* Rib::find(const util::IpPrefix& prefix) const {
-  auto it = table_.find(prefix);
-  return it == table_.end() ? nullptr : &it->second;
+  if (!table_) return nullptr;
+  auto it = table_->find(prefix);
+  return it == table_->end() ? nullptr : &it->second;
 }
 
 std::uint64_t Rib::content_hash() const {
@@ -182,8 +216,8 @@ Result<Route> deserialize_route(ByteReader& r) {
 }
 
 void Rib::serialize(ByteWriter& w) const {
-  w.u32(static_cast<std::uint32_t>(table_.size()));
-  for (const auto& [prefix, route] : table_) serialize_route(w, route);
+  w.u32(static_cast<std::uint32_t>(size()));
+  for (const auto& [prefix, route] : table()) serialize_route(w, route);
 }
 
 Result<Rib> Rib::deserialize(ByteReader& r) {
@@ -193,7 +227,7 @@ Result<Rib> Rib::deserialize(ByteReader& r) {
   for (std::uint32_t i = 0; i < count.value(); ++i) {
     auto route = deserialize_route(r);
     if (!route) return route.error();
-    rib.table_.emplace(route.value().prefix, std::move(route).take());
+    rib.owned_table().emplace(route.value().prefix, std::move(route).take());
   }
   return rib;
 }

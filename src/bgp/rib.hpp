@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -40,6 +41,24 @@ struct Route {
 };
 
 /// One RIB table: prefix -> route, ordered for deterministic iteration.
+///
+/// Copy-on-write: the table lives behind a shared_ptr, so copying a Rib
+/// shares it and costs O(1) whatever its size. The first upsert() or
+/// erase() that actually changes a shared table copies it first
+/// ("detaches", counted by dice_rib_detaches_total); clear() just drops the
+/// reference. This is what makes restoring a router from a decoded
+/// checkpoint (BgpRouter::apply, bgp2::FsmEngine::apply) O(tables) instead
+/// of O(routes): every clone starts out sharing the decoded tables and pays
+/// only for the few it writes.
+///
+/// Sharing rule (thread safety): a table reachable from more than one Rib
+/// is never written. Tables shared across threads are the immutable ones a
+/// PreparedSnapshot or a LiveStateCache entry holds; a writer detaches
+/// whenever use_count() != 1. On the unshared path an acquire fence pairs
+/// with the release in another thread's shared_ptr decrement, so reads that
+/// thread made before dropping its reference happen before the in-place
+/// write. Never hand out a mutable reference into the table and never add a
+/// weak_ptr to it: both would break the use_count() test.
 class Rib {
  public:
   using Table = std::map<util::IpPrefix, Route>;
@@ -50,10 +69,10 @@ class Rib {
   bool erase(const util::IpPrefix& prefix);
 
   [[nodiscard]] const Route* find(const util::IpPrefix& prefix) const;
-  [[nodiscard]] const Table& table() const noexcept { return table_; }
-  [[nodiscard]] std::size_t size() const noexcept { return table_.size(); }
-  [[nodiscard]] bool empty() const noexcept { return table_.empty(); }
-  void clear() noexcept { table_.clear(); }
+  [[nodiscard]] const Table& table() const noexcept { return table_ ? *table_ : empty_table(); }
+  [[nodiscard]] std::size_t size() const noexcept { return table_ ? table_->size() : 0; }
+  [[nodiscard]] bool empty() const noexcept { return size() == 0; }
+  void clear() noexcept { table_.reset(); }
 
   /// Content hash over all entries (order-independent by construction since
   /// iteration is ordered). Feeds checkpoint hashes and the privacy-
@@ -64,7 +83,11 @@ class Rib {
   [[nodiscard]] static util::Result<Rib> deserialize(util::ByteReader& reader);
 
  private:
-  Table table_;
+  [[nodiscard]] static const Table& empty_table() noexcept;
+  /// The table, exclusively owned: allocated if absent, detached if shared.
+  [[nodiscard]] Table& owned_table();
+
+  std::shared_ptr<Table> table_;  ///< null reads as empty
 };
 
 /// Route (de)serialization shared by Rib and session checkpoints.

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <set>
 #include <span>
-#include <type_traits>
 
 #include "bgp/checkpoint_codec.hpp"
 #include "concolic/context.hpp"
@@ -548,60 +547,26 @@ std::uint64_t BgpRouter::encode_checkpoint(util::ByteWriter& writer,
 util::Status BgpRouter::apply(const snapshot::DecodedCheckpoint& state) {
   const auto* decoded = dynamic_cast<const RouterCheckpoint*>(&state);
   if (decoded == nullptr) return util::make_error("router.apply.wrong_type");
-  return apply_state(*decoded);
-}
-
-util::Status BgpRouter::restore(util::ByteReader& reader) {
-  auto head = reader.peek_u8();
-  if (!head) return util::make_error("router.restore.sessions");
-  if (head.value() != ckpt::kFormatV2) {
-    // Legacy fixed-width streams (and unresolved delta envelopes, which
-    // parse rejects with its usual typed error) take the inherited
-    // parse + apply path.
-    return snapshot::Checkpointable::restore(reader);
-  }
-  // The fused path is still a decode; both receipts count it like parse.
-  g_checkpoint_decodes.fetch_add(1, std::memory_order_relaxed);
-  static obs::Counter& decode_counter =
-      obs::MetricsRegistry::global().counter(obs::names::kCheckpointDecodes);
-  decode_counter.add();
-  auto state = ckpt::read_router_v2(reader, [this](sim::NodeId peer) {
-    return sessions_.find(peer) != sessions_.end();
-  });
-  if (!state) return state.error();
-  return apply_state(std::move(state).take());
-}
-
-template <typename State>
-util::Status BgpRouter::apply_state(State&& state) {
-  // Owned (rvalue) states surrender their RIBs by move; shared decoded
-  // checkpoints are copied. Either way the resulting router state — and the
-  // order it is installed in — is identical.
-  constexpr bool kOwned = !std::is_const_v<std::remove_reference_t<State>>;
   ++state_version_;  // restore rewrites every piece of checkpointed state
 
-  for (const auto& [peer, checkpoint] : state.sessions) {
+  for (const auto& [peer, checkpoint] : decoded->sessions) {
     Session* s = session(peer);
     if (s == nullptr) return util::make_error("router.restore.unknown_peer");
     s->apply_checkpoint(checkpoint);
   }
 
+  // Rib copies share the decoded tables (copy-on-write, bgp/rib.hpp): the
+  // restore is O(tables), and only the tables this router later writes are
+  // ever copied.
   adj_in_.clear();
-  for (auto& [peer, rib] : state.adj_in) {
-    if constexpr (kOwned) adj_in_.emplace(peer, std::move(rib));
-    else adj_in_.emplace(peer, rib);
-  }
-  if constexpr (kOwned) loc_rib_ = std::move(state.loc_rib);
-  else loc_rib_ = state.loc_rib;
+  for (const auto& [peer, rib] : decoded->adj_in) adj_in_.emplace(peer, rib);
+  loc_rib_ = decoded->loc_rib;
   adj_out_.clear();
-  for (auto& [peer, rib] : state.adj_out) {
-    if constexpr (kOwned) adj_out_.emplace(peer, std::move(rib));
-    else adj_out_.emplace(peer, rib);
-  }
+  for (const auto& [peer, rib] : decoded->adj_out) adj_out_.emplace(peer, rib);
 
   best_flips_.clear();
   max_best_flips_ = 0;
-  for (const auto& [prefix, count] : state.best_flips) {
+  for (const auto& [prefix, count] : decoded->best_flips) {
     best_flips_[prefix] = count;
     max_best_flips_ = std::max(max_best_flips_, count);
   }

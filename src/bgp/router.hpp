@@ -106,13 +106,6 @@ class BgpRouter final : public NodeImplementation, public SessionHost {
   // parse() additionally accepts legacy fixed-width streams (first byte !=
   // kFormatV2), so checkpoints captured before the format change restore.
   void checkpoint(util::ByteWriter& writer) const override;
-  /// One-shot restore, fused for v2 streams: the decoded sections are MOVED
-  /// into this router instead of being materialized as a shareable
-  /// RouterCheckpoint and then deep-copied — half the per-route cost when
-  /// the decode feeds exactly one instance (System::reset_from_raw, the
-  /// warm-start resume from a persisted cut). Legacy streams fall back to
-  /// the inherited parse + apply. State-identical to that pair either way.
-  [[nodiscard]] util::Status restore(util::ByteReader& reader) override;
   [[nodiscard]] util::Result<std::shared_ptr<const snapshot::DecodedCheckpoint>> parse(
       util::ByteReader& reader) const override;
   [[nodiscard]] util::Status apply(const snapshot::DecodedCheckpoint& state) override;
@@ -152,12 +145,6 @@ class BgpRouter final : public NodeImplementation, public SessionHost {
  private:
   [[nodiscard]] util::Result<std::shared_ptr<const snapshot::DecodedCheckpoint>> parse_v2(
       util::ByteReader& reader) const;
-  /// Shared tail of apply() and the fused restore(): installs a decoded v2
-  /// state. `State` is `const RouterCheckpoint&` (copy: the decoded form is
-  /// shared across clones) or `ckpt::RouterStateV2&&` (move: uniquely owned
-  /// by a one-shot restore).
-  template <typename State>
-  [[nodiscard]] util::Status apply_state(State&& state);
   [[nodiscard]] util::Result<std::shared_ptr<const snapshot::DecodedCheckpoint>>
   parse_legacy(util::ByteReader& reader) const;
   void originate_networks();

@@ -242,7 +242,7 @@ std::shared_ptr<snapshot::PreparedLiveState> System::capture_live_state(
 
 util::Status System::resume_from(const snapshot::PreparedLiveState& state) {
   // Decoded form when available (shared across many resumes); otherwise the
-  // raw cut through the fused one-shot restore (a warm-restarted daemon's
+  // raw cut through a one-shot restore per node (a warm-restarted daemon's
   // first resume, before the round-end promotion decodes the entry).
   if (state.snapshot != nullptr) return reset_from(*state.snapshot, state.resume_at);
   if (state.raw != nullptr) return reset_from_raw(*state.raw, state.resume_at);

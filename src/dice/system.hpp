@@ -117,13 +117,14 @@ class System {
                                         sim::Time resume_at = 0);
 
   /// Raw-cut sibling of reset_from: re-seeds THIS instance straight from an
-  /// encoded Snapshot via the routers' fused one-shot restore — parse and
-  /// install in a single pass, no intermediate shareable decode. Same reset
-  /// sequence, same apply order, same frame-injection offsets, so the
-  /// result is bit-identical to reset_from(prepared-form-of-snap). This is
-  /// the warm-restart path: a daemon resuming a persisted cut restores it
-  /// exactly once, so the decode-once/restore-many split buys nothing and
-  /// the fused restore halves the per-route bill. Delta-encoded cuts
+  /// encoded Snapshot via each router's one-shot restore (parse + apply,
+  /// one decode per node). Same reset sequence, same apply order, same
+  /// frame-injection offsets, so the result is bit-identical to
+  /// reset_from(prepared-form-of-snap). This is the warm-restart path: a
+  /// daemon resuming a persisted cut restores it exactly once. The decode
+  /// is the only per-route cost — apply shares the decoded RIB tables
+  /// (copy-on-write, bgp/rib.hpp), which the router then owns alone once
+  /// the temporary decoded form is dropped. Delta-encoded cuts
   /// (kCheckpointSameAsBaseline envelopes) fail with the usual typed error
   /// — persisted captures are always standalone (live_state.hpp).
   [[nodiscard]] util::Status reset_from_raw(const snapshot::Snapshot& snap,

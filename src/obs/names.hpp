@@ -48,6 +48,7 @@ inline constexpr std::string_view kSnapshotDeltaNodes =
     "dice_snapshot_delta_nodes_total";
 inline constexpr std::string_view kSnapshotBaselineNodes =
     "dice_snapshot_baseline_nodes_total";
+inline constexpr std::string_view kRibDetaches = "dice_rib_detaches_total";
 
 // --- core::Orchestrator / explore::ScenarioMatrix ---------------------------
 inline constexpr std::string_view kEpisodes = "dice_episodes_total";

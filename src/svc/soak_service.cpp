@@ -241,8 +241,9 @@ std::size_t SoakService::prime_cache_locked() {
   std::size_t primed = 0;
   // Raw-only priming: the entry carries just the persisted cut, no decoded
   // form. The first resume of a primed key takes System::reset_from_raw's
-  // fused parse+install (one pass instead of decode-then-copy), which is
-  // what keeps restart-to-explored cheap; promote_decoded_locked() builds
+  // one decode per node (apply shares the decoded RIB tables instead of
+  // copying them), which is what keeps restart-to-explored cheap;
+  // promote_decoded_locked() builds
   // the shareable decoded form AFTER round 1, off the restart path, so
   // rounds 2+ resume without re-parsing. An artifact that later turns out
   // undecodable (topology drifted under the same key) just fails its
@@ -272,7 +273,7 @@ std::size_t SoakService::prime_cache_locked() {
 
 void SoakService::promote_decoded_locked() {
   // Raw-only entries (primed from the store) served their first resume via
-  // the fused one-shot restore; every LATER round resumes the same key
+  // the one-shot raw restore; every LATER round resumes the same key
   // again, and for those the decode-once shareable form wins. Build it here
   // — round end, restart latency already banked — and swap it in. The raw
   // cut rides along so harvest keeps persisting the entry.

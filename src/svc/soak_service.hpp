@@ -219,8 +219,8 @@ class SoakService {
   /// Rebuilds campaign_ from `options` with the service's cache wiring.
   void build_campaign_locked(const explore::CampaignOptions& options);
   /// Publishes contents_' artifacts into the bootstrap cache as raw-only
-  /// entries (no decode — the first resume per key takes the fused
-  /// one-shot restore). Returns how many primed. Caller holds mutex_.
+  /// entries (no decode — the first resume per key takes the one-shot raw
+  /// restore). Returns how many primed. Caller holds mutex_.
   std::size_t prime_cache_locked();
   /// Folds a finished round's cache/solver state back into contents_.
   /// Caller holds mutex_.

@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <vector>
+
 #include "bgp/rib.hpp"
+#include "obs/metrics.hpp"
+#include "obs/names.hpp"
 #include "util/rng.hpp"
 
 namespace dice::bgp {
@@ -78,6 +83,126 @@ TEST(RibTest, DeserializeRejectsTruncation) {
   bytes.resize(bytes.size() / 2);
   util::ByteReader reader(bytes);
   EXPECT_FALSE(Rib::deserialize(reader).ok());
+}
+
+// ---------------------------------------------------------------------------
+// Copy-on-write: copies share one table until the first write detaches
+// ---------------------------------------------------------------------------
+
+[[nodiscard]] Rib make_rib(std::uint8_t routes) {
+  Rib rib;
+  for (std::uint8_t i = 1; i <= routes; ++i) rib.upsert(make_route(i));
+  return rib;
+}
+
+[[nodiscard]] std::uint64_t detaches() {
+  return obs::MetricsRegistry::global().counter(obs::names::kRibDetaches).value();
+}
+
+/// The counter only moves when telemetry is compiled in.
+[[nodiscard]] constexpr std::uint64_t counted(std::uint64_t n) {
+  return obs::kEnabled ? n : 0;
+}
+
+TEST(RibCopyOnWriteTest, DefaultRibReadsAsEmpty) {
+  const Rib rib;
+  EXPECT_TRUE(rib.empty());
+  EXPECT_EQ(rib.size(), 0u);
+  EXPECT_TRUE(rib.table().empty());
+  EXPECT_EQ(rib.find(make_route(1).prefix), nullptr);
+  EXPECT_EQ(rib.content_hash(), Rib{}.content_hash());
+  Rib copy = rib;
+  EXPECT_FALSE(copy.erase(make_route(1).prefix));
+  EXPECT_TRUE(copy.empty());
+}
+
+TEST(RibCopyOnWriteTest, UpsertOnCopyLeavesSourceUnchanged) {
+  const Rib source = make_rib(8);
+  const Rib::Table before = source.table();
+  const std::uint64_t detaches_before = detaches();
+
+  Rib copy = source;
+  EXPECT_TRUE(copy.upsert(make_route(3, 300)));  // replace
+  EXPECT_TRUE(copy.upsert(make_route(42)));      // insert
+  EXPECT_EQ(detaches() - detaches_before, counted(1));  // one copy, then in place
+  EXPECT_NE(&copy.table(), &source.table());
+  EXPECT_EQ(source.table(), before);
+  EXPECT_EQ(copy.size(), 9u);
+  EXPECT_EQ(copy.find(make_route(3).prefix)->attrs.local_pref, 300u);
+}
+
+TEST(RibCopyOnWriteTest, EraseOnCopyLeavesSourceUnchanged) {
+  const Rib source = make_rib(8);
+  const Rib::Table before = source.table();
+  Rib copy = source;
+  EXPECT_TRUE(copy.erase(make_route(5).prefix));
+  EXPECT_EQ(source.table(), before);
+  EXPECT_EQ(copy.size(), 7u);
+  EXPECT_EQ(copy.find(make_route(5).prefix), nullptr);
+}
+
+TEST(RibCopyOnWriteTest, ClearOnCopyLeavesSourceUnchanged) {
+  const Rib source = make_rib(8);
+  const Rib::Table before = source.table();
+  const std::uint64_t detaches_before = detaches();
+  Rib copy = source;
+  copy.clear();
+  EXPECT_TRUE(copy.empty());
+  EXPECT_EQ(source.table(), before);
+  EXPECT_EQ(detaches(), detaches_before);  // clear drops the reference, copies nothing
+}
+
+TEST(RibCopyOnWriteTest, NoOpWritesDoNotDetach) {
+  const Rib source = make_rib(8);
+  const std::uint64_t detaches_before = detaches();
+  Rib copy = source;
+  EXPECT_FALSE(copy.erase(make_route(99).prefix));  // absent prefix
+  EXPECT_FALSE(copy.upsert(make_route(2)));         // identical route
+  EXPECT_EQ(&copy.table(), &source.table());        // still the one shared table
+  EXPECT_EQ(detaches(), detaches_before);
+}
+
+TEST(RibCopyOnWriteTest, SoleOwnerWritesInPlace) {
+  Rib rib = make_rib(4);
+  const std::uint64_t detaches_before = detaches();
+  {
+    const Rib copy = rib;  // shared for this scope only
+  }
+  const Rib::Table* table = &rib.table();
+  EXPECT_TRUE(rib.upsert(make_route(7)));
+  EXPECT_TRUE(rib.erase(make_route(1).prefix));
+  EXPECT_EQ(&rib.table(), table);
+  EXPECT_EQ(detaches(), detaches_before);
+}
+
+TEST(RibCopyOnWriteTest, ConcurrentDetachFromOneConstSource) {
+  // Two threads copy one immutable source (a decoded checkpoint's table)
+  // and write their copies at the same time: each must detach, and the
+  // source must read unchanged afterwards. Run under TSan in CI.
+  const Rib source = make_rib(32);
+  const Rib::Table before = source.table();
+  constexpr int kThreads = 2;
+  constexpr int kRounds = 200;
+  std::vector<std::uint64_t> hashes(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&source, &hashes, t] {
+      for (int round = 0; round < kRounds; ++round) {
+        Rib copy = source;
+        copy.upsert(make_route(static_cast<std::uint8_t>(100 + t), 7));
+        copy.erase(make_route(static_cast<std::uint8_t>(1 + t)).prefix);
+        hashes[t] = copy.content_hash();
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(source.table(), before);
+  for (int t = 0; t < kThreads; ++t) {
+    Rib expected = source;
+    expected.upsert(make_route(static_cast<std::uint8_t>(100 + t), 7));
+    expected.erase(make_route(static_cast<std::uint8_t>(1 + t)).prefix);
+    EXPECT_EQ(hashes[t], expected.content_hash()) << "thread " << t;
+  }
 }
 
 /// Property: attribute serialization round-trips over randomized attrs.

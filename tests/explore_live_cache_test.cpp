@@ -12,6 +12,7 @@
 #include <sstream>
 #include <thread>
 
+#include "bgp/codec.hpp"
 #include "dice/orchestrator.hpp"
 #include "explore/live_cache.hpp"
 #include "explore/matrix.hpp"
@@ -67,6 +68,63 @@ TEST(LiveStateCaptureTest, ResumedSystemMatchesDonorStateAndCutHash) {
 // ---------------------------------------------------------------------------
 // Bootstrap oscillation early-exit (the live-system side of the clone exit)
 // ---------------------------------------------------------------------------
+
+/// Re-encodes every decoded checkpoint of `prepared`: applies the cut to a
+/// fresh probe System and checkpoints each router. Apply shares the decoded
+/// RIB tables, so the bytes are those of the tables the snapshot holds.
+[[nodiscard]] std::vector<util::Bytes> reencode(
+    const std::shared_ptr<const SystemPrototype>& prototype,
+    const snapshot::PreparedSnapshot& prepared) {
+  System probe(prototype);
+  EXPECT_TRUE(probe.reset_from(prepared).ok());
+  std::vector<util::Bytes> encoded;
+  for (const auto& [node, entry] : prepared.nodes()) {
+    util::ByteWriter writer;
+    probe.router(node).checkpoint(writer);
+    encoded.push_back(writer.bytes());
+  }
+  return encoded;
+}
+
+TEST(LiveStateCaptureTest, ResumedSystemChurnLeavesCacheEntryUnchanged) {
+  // A resumed live system starts out sharing the cache entry's decoded RIB
+  // tables (copy-on-write). Churning it — new routes, withdrawals, a
+  // session reset — must detach every table it writes, so the entry the
+  // next cell resumes from still holds the captured state.
+  auto prototype =
+      std::make_shared<const SystemPrototype>(bgp::make_internet({2, 3, 4}));
+  System donor(prototype);
+  donor.start();
+  ASSERT_TRUE(donor.converge());
+  LiveStateCache cache;
+  const LiveStateCache::Key key{prototype, 1, 0};
+  const auto entry =
+      cache.get_or_compute(key, [&] { return donor.capture_live_state(0); }).state;
+  ASSERT_NE(entry, nullptr);
+  ASSERT_NE(entry->snapshot, nullptr);
+  const std::vector<util::Bytes> before = reencode(prototype, *entry->snapshot);
+
+  System resumed(prototype);
+  ASSERT_TRUE(resumed.resume_from(*entry).ok());
+  for (std::uint8_t node = 0; node < 2; ++node) {
+    const sim::NodeId peer = 1 - node;  // the two tier-1 routers peer
+    bgp::UpdateMessage update;
+    update.attrs.origin = bgp::Origin::kIgp;
+    update.attrs.as_path = bgp::AsPath{{bgp::node_asn(peer)}};
+    update.attrs.next_hop = bgp::node_address(peer);
+    update.nlri.push_back(util::IpPrefix{util::IpAddress{10, 251, node, 0}, 24});
+    update.withdrawn.push_back(bgp::node_prefix(peer));
+    resumed.inject_message(peer, node, bgp::encode(bgp::Message{update}).value());
+  }
+  ASSERT_TRUE(resumed.converge());
+  resumed.router(2).reset_session(0);
+  ASSERT_TRUE(resumed.converge());
+  EXPECT_NE(resumed.router(0).state_hash(), donor.router(0).state_hash());
+
+  const auto after = cache.find(key);
+  ASSERT_EQ(after, entry);
+  EXPECT_EQ(reencode(prototype, *after->snapshot), before);
+}
 
 TEST(BootstrapEarlyExitTest, DisputeWheelBootstrapStopsAtFlipThreshold) {
   constexpr std::size_t kBudget = 200'000;

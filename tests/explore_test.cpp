@@ -1,16 +1,23 @@
 // Unit tests for the parallel exploration subsystem: work-stealing pool
-// mechanics, fault-ledger determinism, solver-cache accounting, and the
-// splittable RNG streams everything relies on.
+// mechanics, fault-ledger determinism, solver-cache accounting, the
+// splittable RNG streams everything relies on, and the copy-on-write
+// sharing between a PreparedSnapshot and the arena clones restored from it.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <thread>
 
+#include "bgp/codec.hpp"
+#include "bgp/topology.hpp"
 #include "concolic/solver.hpp"
+#include "dice/system.hpp"
+#include "explore/arena.hpp"
 #include "explore/ledger.hpp"
 #include "explore/pool.hpp"
 #include "explore/solver_cache.hpp"
+#include "obs/metrics.hpp"
+#include "obs/names.hpp"
 #include "util/rng.hpp"
 
 namespace dice::explore {
@@ -387,6 +394,86 @@ TEST(SolverCacheTest, ConcurrentLookupsAndStoresAreSafe) {
   }
   for (auto& thread : threads) thread.join();
   EXPECT_EQ(cache.size(), 37u);
+}
+
+// ---------------------------------------------------------------------------
+// Copy-on-write RIB tables: clones share the prepared tables, never write them
+// ---------------------------------------------------------------------------
+
+/// Re-encodes every decoded checkpoint of `prepared`: applies the cut to a
+/// fresh probe System and checkpoints each router. Apply shares the decoded
+/// RIB tables, so the bytes are those of the tables the snapshot holds.
+[[nodiscard]] std::vector<util::Bytes> reencode(
+    const std::shared_ptr<const core::SystemPrototype>& prototype,
+    const snapshot::PreparedSnapshot& prepared) {
+  core::System probe(prototype);
+  EXPECT_TRUE(probe.reset_from(prepared).ok());
+  std::vector<util::Bytes> encoded;
+  for (const auto& [node, entry] : prepared.nodes()) {
+    util::ByteWriter writer;
+    probe.router(node).checkpoint(writer);
+    encoded.push_back(writer.bytes());
+  }
+  return encoded;
+}
+
+/// `from` announces a fresh /24 tagged `tag` and withdraws its own prefix.
+[[nodiscard]] util::Bytes churn_update(sim::NodeId from, std::uint8_t tag) {
+  bgp::UpdateMessage update;
+  update.attrs.origin = bgp::Origin::kIgp;
+  update.attrs.as_path = bgp::AsPath{{bgp::node_asn(from)}};
+  update.attrs.next_hop = bgp::node_address(from);
+  update.nlri.push_back(util::IpPrefix{util::IpAddress{10, 250, tag, 0}, 24});
+  update.withdrawn.push_back(bgp::node_prefix(from));
+  return bgp::encode(bgp::Message{update}).value();
+}
+
+TEST(RibSharingTest, ArenaClonesThatChurnLeaveThePreparedSnapshotUnchanged) {
+  // Ring of 6, odd nodes on the bgp2 engine: both engines restore shared
+  // tables. Every clone announces, withdraws and reconverges, writing
+  // Adj-RIB-In, Loc-RIB and Adj-RIB-Out tables it first shared with the
+  // snapshot. A write that missed its detach would show up as a prepared
+  // checkpoint that no longer re-encodes to its original bytes.
+  constexpr std::size_t kRouters = 6;
+  bgp::SystemBlueprint blueprint = bgp::make_ring(kRouters);
+  for (sim::NodeId node = 1; node < kRouters; node += 2) {
+    blueprint.set_implementation(node, "fsm");
+  }
+  auto prototype = std::make_shared<const core::SystemPrototype>(std::move(blueprint));
+  core::System live(prototype);
+  live.start();
+  ASSERT_TRUE(live.converge());
+  const snapshot::SnapshotId id = live.take_snapshot(0);
+  ASSERT_NE(id, 0u);
+  const auto prepared = live.prepare_snapshot(id);
+  ASSERT_NE(prepared, nullptr);
+  const std::vector<util::Bytes> before = reencode(prototype, *prepared);
+
+  obs::Counter& detaches = obs::MetricsRegistry::global().counter(obs::names::kRibDetaches);
+  const std::uint64_t detaches_before = detaches.value();
+  constexpr std::size_t kClones = 48;
+  ExplorePool pool(4);
+  std::atomic<std::size_t> failures{0};
+  std::atomic<std::size_t> diverged{0};
+  pool.run_batch(kClones, [&](std::size_t task, std::size_t worker) {
+    bool reused = false;
+    core::System* clone = pool.arena(worker).acquire(prototype, *prepared, reused);
+    if (clone == nullptr) {
+      ++failures;
+      return;
+    }
+    const auto from = static_cast<sim::NodeId>(task % kRouters);
+    const auto to = static_cast<sim::NodeId>((from + 1) % kRouters);
+    clone->inject_message(from, to, churn_update(from, static_cast<std::uint8_t>(task)));
+    if (!clone->converge()) ++failures;
+    if (clone->router(to).state_hash() != live.router(to).state_hash()) ++diverged;
+  });
+  EXPECT_EQ(failures.load(), 0u);
+  EXPECT_EQ(diverged.load(), kClones);  // every clone really wrote its tables
+  if constexpr (obs::kEnabled) {
+    EXPECT_GT(detaches.value(), detaches_before);
+  }
+  EXPECT_EQ(reencode(prototype, *prepared), before);
 }
 
 }  // namespace
