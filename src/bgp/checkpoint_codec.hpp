@@ -7,10 +7,10 @@
 // a checkpoint carrying the same AS-path/community set on hundreds of routes
 // writes it exactly once.
 //
-// Streams whose first byte is not kFormatV2 are legacy fixed-width
-// checkpoints and keep parsing through the v1 code path (bgp/rib.cpp,
-// Session::parse_checkpoint) — see docs/SNAPSHOT_FORMAT.md for the full
-// layout and compatibility contract.
+// It is the only checkpoint format: both engines refuse a stream whose
+// first byte is neither kFormatV2 nor the snapshot layer's delta envelope
+// (`router.restore.unknown_format`) — see docs/SNAPSHOT_FORMAT.md for the
+// full layout and compatibility contract.
 #pragma once
 
 #include <cstdint>
@@ -25,9 +25,9 @@
 
 namespace dice::bgp::ckpt {
 
-/// First byte of a v2 checkpoint stream. Legacy streams start with the high
-/// byte of a u32 session count (always 0x00 in practice); the snapshot
-/// layer's "same as baseline" envelope claims 0x03 (snapshot/checkpoint.hpp).
+/// First byte of a v2 checkpoint stream. The snapshot layer's "same as
+/// baseline" envelope claims 0x03 (snapshot/checkpoint.hpp); every other
+/// first byte is refused.
 inline constexpr std::uint8_t kFormatV2 = 0x02;
 
 /// Section tags. Unknown tags are a decode error (stable code

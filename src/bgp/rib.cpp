@@ -5,14 +5,10 @@
 #include "obs/metrics.hpp"
 #include "obs/names.hpp"
 #include "util/hash.hpp"
-#include "util/result.hpp"
 
 namespace dice::bgp {
 
-using util::ByteReader;
 using util::ByteWriter;
-using util::make_error;
-using util::Result;
 
 std::string Route::to_string() const {
   std::string out = prefix.to_string();
@@ -106,79 +102,6 @@ void serialize_attrs(ByteWriter& w, const PathAttributes& attrs) {
   }
 }
 
-Result<PathAttributes> deserialize_attrs(ByteReader& r) {
-  PathAttributes attrs;
-  auto origin = r.u8();
-  if (!origin || origin.value() > 2) return make_error("rib.attrs.origin");
-  attrs.origin = static_cast<Origin>(origin.value());
-  auto seg_count = r.u16();
-  if (!seg_count) return seg_count.error();
-  for (std::uint16_t i = 0; i < seg_count.value(); ++i) {
-    auto type = r.u8();
-    auto count = r.u16();
-    if (!type || !count) return make_error("rib.attrs.as_path");
-    AsSegment seg;
-    seg.type = static_cast<AsSegmentType>(type.value());
-    for (std::uint16_t j = 0; j < count.value(); ++j) {
-      auto asn = r.u32();
-      if (!asn) return asn.error();
-      seg.asns.push_back(asn.value());
-    }
-    attrs.as_path.segments().push_back(std::move(seg));
-  }
-  auto next_hop = r.u32();
-  if (!next_hop) return next_hop.error();
-  attrs.next_hop = util::IpAddress{next_hop.value()};
-  auto has_med = r.u8();
-  if (!has_med) return has_med.error();
-  if (has_med.value() != 0) {
-    auto med = r.u32();
-    if (!med) return med.error();
-    attrs.med = med.value();
-  }
-  auto has_lp = r.u8();
-  if (!has_lp) return has_lp.error();
-  if (has_lp.value() != 0) {
-    auto lp = r.u32();
-    if (!lp) return lp.error();
-    attrs.local_pref = lp.value();
-  }
-  auto atomic = r.u8();
-  if (!atomic) return atomic.error();
-  attrs.atomic_aggregate = atomic.value() != 0;
-  auto has_agg = r.u8();
-  if (!has_agg) return has_agg.error();
-  if (has_agg.value() != 0) {
-    auto asn = r.u32();
-    auto addr = r.u32();
-    if (!asn || !addr) return make_error("rib.attrs.aggregator");
-    attrs.aggregator = Aggregator{asn.value(), util::IpAddress{addr.value()}};
-  }
-  auto comm_count = r.u16();
-  if (!comm_count) return comm_count.error();
-  for (std::uint16_t i = 0; i < comm_count.value(); ++i) {
-    auto c = r.u32();
-    if (!c) return c.error();
-    attrs.add_community(c.value());
-  }
-  auto unknown_count = r.u16();
-  if (!unknown_count) return unknown_count.error();
-  for (std::uint16_t i = 0; i < unknown_count.value(); ++i) {
-    UnknownAttr ua;
-    auto flags = r.u8();
-    auto type = r.u8();
-    auto len = r.u16();
-    if (!flags || !type || !len) return make_error("rib.attrs.unknown");
-    ua.flags = flags.value();
-    ua.type = type.value();
-    auto body = r.raw(len.value());
-    if (!body) return body.error();
-    ua.value.assign(body.value().begin(), body.value().end());
-    attrs.unknown.push_back(std::move(ua));
-  }
-  return attrs;
-}
-
 void serialize_route(ByteWriter& w, const Route& route) {
   w.u32(route.prefix.address().value());
   w.u8(route.prefix.length());
@@ -190,46 +113,9 @@ void serialize_route(ByteWriter& w, const Route& route) {
   w.u8(route.source.ebgp ? 1 : 0);
 }
 
-Result<Route> deserialize_route(ByteReader& r) {
-  Route route;
-  auto addr = r.u32();
-  auto len = r.u8();
-  if (!addr || !len) return make_error("rib.route.prefix");
-  route.prefix = util::IpPrefix{util::IpAddress{addr.value()}, len.value()};
-  auto attrs = deserialize_attrs(r);
-  if (!attrs) return attrs.error();
-  route.attrs = std::move(attrs).take();
-  auto peer_node = r.u32();
-  auto peer_asn = r.u32();
-  auto peer_id = r.u32();
-  auto peer_addr = r.u32();
-  auto ebgp = r.u8();
-  if (!peer_node || !peer_asn || !peer_id || !peer_addr || !ebgp) {
-    return make_error("rib.route.source");
-  }
-  route.source.peer_node = peer_node.value();
-  route.source.peer_asn = peer_asn.value();
-  route.source.peer_router_id = peer_id.value();
-  route.source.peer_address = util::IpAddress{peer_addr.value()};
-  route.source.ebgp = ebgp.value() != 0;
-  return route;
-}
-
 void Rib::serialize(ByteWriter& w) const {
   w.u32(static_cast<std::uint32_t>(size()));
   for (const auto& [prefix, route] : table()) serialize_route(w, route);
-}
-
-Result<Rib> Rib::deserialize(ByteReader& r) {
-  Rib rib;
-  auto count = r.u32();
-  if (!count) return count.error();
-  for (std::uint32_t i = 0; i < count.value(); ++i) {
-    auto route = deserialize_route(r);
-    if (!route) return route.error();
-    rib.owned_table().emplace(route.value().prefix, std::move(route).take());
-  }
-  return rib;
 }
 
 }  // namespace dice::bgp

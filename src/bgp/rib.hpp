@@ -1,6 +1,7 @@
 // Routing Information Bases (RFC 4271 §3.2): Adj-RIB-In (per peer, post
 // import policy), Loc-RIB (selected best routes), Adj-RIB-Out (per peer,
-// post export policy). All three are serializable for checkpointing.
+// post export policy). All three are checkpointed through the v2 codec
+// (bgp/checkpoint_codec.hpp).
 #pragma once
 
 #include <cstdint>
@@ -79,8 +80,9 @@ class Rib {
   /// preserving check interface.
   [[nodiscard]] std::uint64_t content_hash() const;
 
+  /// Fixed-width canonical form; the input to content_hash (checkpoints
+  /// use the byte-coded v2 format, bgp/checkpoint_codec.hpp).
   void serialize(util::ByteWriter& writer) const;
-  [[nodiscard]] static util::Result<Rib> deserialize(util::ByteReader& reader);
 
  private:
   [[nodiscard]] static const Table& empty_table() noexcept;
@@ -90,10 +92,8 @@ class Rib {
   std::shared_ptr<Table> table_;  ///< null reads as empty
 };
 
-/// Route (de)serialization shared by Rib and session checkpoints.
+/// Canonical route/attribute forms behind Rib::serialize.
 void serialize_route(util::ByteWriter& writer, const Route& route);
-[[nodiscard]] util::Result<Route> deserialize_route(util::ByteReader& reader);
 void serialize_attrs(util::ByteWriter& writer, const PathAttributes& attrs);
-[[nodiscard]] util::Result<PathAttributes> deserialize_attrs(util::ByteReader& reader);
 
 }  // namespace dice::bgp

@@ -444,19 +444,15 @@ util::Result<std::shared_ptr<const snapshot::DecodedCheckpoint>> BgpRouter::pars
   // Version dispatch on the first byte: v2 byte-coded streams announce
   // themselves with kFormatV2; the snapshot layer's delta envelope must be
   // resolved upstream (PreparedSnapshot::build) — reaching parse with one is
-  // an error, not a decode; anything else is a legacy fixed-width stream
-  // (whose first byte is the high byte of a u32 session count, i.e. 0x00).
+  // an error, not a decode; any other first byte is refused.
   auto head = reader.peek_u8();
   if (!head) return util::make_error("router.restore.sessions");
   if (head.value() == snapshot::kCheckpointSameAsBaseline) {
     return util::make_error("router.restore.delta_unresolved");
   }
-  if (head.value() == ckpt::kFormatV2) return parse_v2(reader);
-  return parse_legacy(reader);
-}
-
-util::Result<std::shared_ptr<const snapshot::DecodedCheckpoint>> BgpRouter::parse_v2(
-    util::ByteReader& reader) const {
+  if (head.value() != ckpt::kFormatV2) {
+    return util::make_error("router.restore.unknown_format");
+  }
   auto state = ckpt::read_router_v2(reader, [this](sim::NodeId peer) {
     return sessions_.find(peer) != sessions_.end();
   });
@@ -467,60 +463,6 @@ util::Result<std::shared_ptr<const snapshot::DecodedCheckpoint>> BgpRouter::pars
   decoded->loc_rib = std::move(state.value().loc_rib);
   decoded->adj_out = std::move(state.value().adj_out);
   decoded->best_flips = std::move(state.value().best_flips);
-  return std::shared_ptr<const snapshot::DecodedCheckpoint>(std::move(decoded));
-}
-
-util::Result<std::shared_ptr<const snapshot::DecodedCheckpoint>> BgpRouter::parse_legacy(
-    util::ByteReader& reader) const {
-  auto decoded = std::make_shared<RouterCheckpoint>();
-
-  auto session_count = reader.u32();
-  if (!session_count) return util::make_error("router.restore.sessions");
-  for (std::uint32_t i = 0; i < session_count.value(); ++i) {
-    auto peer = reader.u32();
-    if (!peer) return util::make_error("router.restore.peer");
-    if (sessions_.find(peer.value()) == sessions_.end()) {
-      return util::make_error("router.restore.unknown_peer");
-    }
-    auto checkpoint = Session::parse_checkpoint(reader);
-    if (!checkpoint) return checkpoint.error();
-    decoded->sessions.emplace_back(peer.value(), checkpoint.value());
-  }
-
-  auto in_count = reader.u32();
-  if (!in_count) return util::make_error("router.restore.adj_in");
-  for (std::uint32_t i = 0; i < in_count.value(); ++i) {
-    auto peer = reader.u32();
-    if (!peer) return util::make_error("router.restore.adj_in_peer");
-    auto rib = Rib::deserialize(reader);
-    if (!rib) return util::make_error("router.restore.adj_in_rib", rib.error().to_string());
-    decoded->adj_in.emplace_back(peer.value(), std::move(rib).take());
-  }
-
-  auto loc = Rib::deserialize(reader);
-  if (!loc) return util::make_error("router.restore.loc_rib", loc.error().to_string());
-  decoded->loc_rib = std::move(loc).take();
-
-  auto out_count = reader.u32();
-  if (!out_count) return util::make_error("router.restore.adj_out");
-  for (std::uint32_t i = 0; i < out_count.value(); ++i) {
-    auto peer = reader.u32();
-    if (!peer) return util::make_error("router.restore.adj_out_peer");
-    auto rib = Rib::deserialize(reader);
-    if (!rib) return util::make_error("router.restore.adj_out_rib", rib.error().to_string());
-    decoded->adj_out.emplace_back(peer.value(), std::move(rib).take());
-  }
-
-  auto flip_count = reader.u32();
-  if (!flip_count) return util::make_error("router.restore.flips");
-  for (std::uint32_t i = 0; i < flip_count.value(); ++i) {
-    auto addr = reader.u32();
-    auto len = reader.u8();
-    auto count = reader.u32();
-    if (!addr || !len || !count) return util::make_error("router.restore.flip_entry");
-    decoded->best_flips.emplace_back(
-        util::IpPrefix{util::IpAddress{addr.value()}, len.value()}, count.value());
-  }
   return std::shared_ptr<const snapshot::DecodedCheckpoint>(std::move(decoded));
 }
 

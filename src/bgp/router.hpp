@@ -103,8 +103,7 @@ class BgpRouter final : public NodeImplementation, public SessionHost {
 
   // --- Checkpointable -------------------------------------------------------
   // checkpoint() emits the byte-coded v2 format (bgp/checkpoint_codec.hpp);
-  // parse() additionally accepts legacy fixed-width streams (first byte !=
-  // kFormatV2), so checkpoints captured before the format change restore.
+  // parse() refuses any other first byte with `router.restore.unknown_format`.
   void checkpoint(util::ByteWriter& writer) const override;
   [[nodiscard]] util::Result<std::shared_ptr<const snapshot::DecodedCheckpoint>> parse(
       util::ByteReader& reader) const override;
@@ -143,10 +142,6 @@ class BgpRouter final : public NodeImplementation, public SessionHost {
   void deliver_data(sim::NodeId from, const util::Bytes& payload) override;
 
  private:
-  [[nodiscard]] util::Result<std::shared_ptr<const snapshot::DecodedCheckpoint>> parse_v2(
-      util::ByteReader& reader) const;
-  [[nodiscard]] util::Result<std::shared_ptr<const snapshot::DecodedCheckpoint>>
-  parse_legacy(util::ByteReader& reader) const;
   void originate_networks();
   void process_update(sim::NodeId peer, const UpdateMessage& update);
   /// The decision process's candidate set for `prefix`: the locally

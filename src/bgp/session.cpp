@@ -209,27 +209,6 @@ void Session::cancel_timers() {
   keepalive_timer_.cancel();
 }
 
-void Session::checkpoint(util::ByteWriter& writer) const {
-  writer.u8(static_cast<std::uint8_t>(state_));
-  writer.u32(peer_router_id_);
-  writer.u16(negotiated_hold_);
-}
-
-util::Result<SessionCheckpoint> Session::parse_checkpoint(util::ByteReader& reader) {
-  auto state = reader.u8();
-  auto peer_id = reader.u32();
-  auto hold = reader.u16();
-  if (!state || !peer_id || !hold) return util::make_error("session.restore.truncated");
-  if (state.value() > static_cast<std::uint8_t>(SessionState::kEstablished)) {
-    return util::make_error("session.restore.bad_state");
-  }
-  SessionCheckpoint checkpoint;
-  checkpoint.state = static_cast<SessionState>(state.value());
-  checkpoint.peer_router_id = peer_id.value();
-  checkpoint.negotiated_hold = hold.value();
-  return checkpoint;
-}
-
 void Session::apply_checkpoint(const SessionCheckpoint& checkpoint) {
   cancel_timers();
   host_.session_state_dirty();
@@ -244,13 +223,6 @@ void Session::apply_checkpoint(const SessionCheckpoint& checkpoint) {
   } else if (state_ != SessionState::kIdle) {
     arm_hold_timer();
   }
-}
-
-util::Status Session::restore(util::ByteReader& reader) {
-  auto checkpoint = parse_checkpoint(reader);
-  if (!checkpoint) return checkpoint.error();
-  apply_checkpoint(checkpoint.value());
-  return util::Status::success();
 }
 
 void Session::reset_for_reuse() {

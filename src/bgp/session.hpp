@@ -73,14 +73,10 @@ class Session {
   [[nodiscard]] std::uint16_t negotiated_hold() const noexcept { return negotiated_hold_; }
   [[nodiscard]] bool ebgp() const noexcept { return neighbor_.asn != local_.asn; }
 
-  // Checkpoint support: FSM state + negotiated values. Timers are re-armed
-  // on restore according to the restored state. restore() = parse + apply;
-  // the split lets one decode feed many clones (snapshot/prepared.hpp).
-  void checkpoint(util::ByteWriter& writer) const;
-  [[nodiscard]] static util::Result<SessionCheckpoint> parse_checkpoint(
-      util::ByteReader& reader);
+  // Checkpoint support: FSM state + negotiated values travel as a
+  // SessionCheckpoint (encoded by ckpt::write_session_v2). Timers are
+  // re-armed on apply according to the applied state.
   void apply_checkpoint(const SessionCheckpoint& checkpoint);
-  [[nodiscard]] util::Status restore(util::ByteReader& reader);
 
   /// Returns the session to its just-constructed state (Idle, timers
   /// cancelled, stats zeroed) without notifying the host — clone-arena

@@ -446,7 +446,7 @@ util::Result<std::shared_ptr<const snapshot::DecodedCheckpoint>> FsmEngine::pars
     return util::make_error("router.restore.delta_unresolved");
   }
   if (head.value() != bgp::ckpt::kFormatV2) {
-    // This engine postdates the v2 format; no legacy streams exist for it.
+    // Same dispatch and code as the reference engine (BgpRouter::parse).
     return util::make_error("router.restore.unknown_format");
   }
   auto state = bgp::ckpt::read_router_v2(reader, [this](sim::NodeId peer) {

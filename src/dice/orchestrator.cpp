@@ -54,10 +54,7 @@ Orchestrator::Orchestrator(std::shared_ptr<const SystemPrototype> prototype,
       options_(options),
       live_(std::make_unique<System>(prototype_)),
       external_arena_(external_arena) {
-  // Delta checkpoints only with the prepared pipeline: the legacy
-  // clone_from fallback reads raw snapshot bytes and has no baseline to
-  // resolve a delta envelope against.
-  live_->set_delta_checkpoints(options_.delta_snapshots && options_.prepared_clones);
+  live_->set_delta_checkpoints(options_.delta_snapshots);
   // A shared pool replaces the private one entirely: one global worker
   // budget, no second thread team to oversubscribe it.
   if (options_.shared_pool == nullptr && options_.parallelism > 1) {
@@ -65,13 +62,13 @@ Orchestrator::Orchestrator(std::shared_ptr<const SystemPrototype> prototype,
   }
 }
 
-explore::CloneArena* Orchestrator::arena_for(std::size_t worker, bool pooled) noexcept {
+explore::CloneArena& Orchestrator::arena_for(std::size_t worker, bool pooled) noexcept {
   if (pooled) {
-    return options_.shared_pool != nullptr ? &options_.shared_pool->arena(worker)
-                                           : &pool_->arena(worker);
+    return options_.shared_pool != nullptr ? options_.shared_pool->arena(worker)
+                                           : pool_->arena(worker);
   }
-  if (external_arena_ != nullptr) return external_arena_;
-  return &serial_arena_;
+  if (external_arena_ != nullptr) return *external_arena_;
+  return serial_arena_;
 }
 
 std::uint32_t Orchestrator::bootstrap_flip_exit() const noexcept {
@@ -263,15 +260,17 @@ EpisodeResult Orchestrator::run_episode(InputStrategy& strategy) {
   // Decode-once: parse every checkpoint into the shared PreparedSnapshot
   // here, on the orchestrator thread, before any clone task exists. Workers
   // only ever apply the typed state.
-  std::shared_ptr<const snapshot::PreparedSnapshot> prepared;
-  if (options_.prepared_clones) {
-    const auto prepare_start = Clock::now();
-    prepared = live_->prepare_snapshot(result.snapshot_id);
-    result.restore_ms = ms_since(prepare_start);
-    if (prepared == nullptr) {
-      logger().warn() << "episode " << result.episode
-                      << ": snapshot preparation failed; using legacy clone path";
-    }
+  const auto prepare_start = Clock::now();
+  const std::shared_ptr<const snapshot::PreparedSnapshot> prepared =
+      live_->prepare_snapshot(result.snapshot_id);
+  result.restore_ms = ms_since(prepare_start);
+  if (prepared == nullptr) {
+    result.error = util::make_error("dice.episode.prepare_failed",
+                                    "snapshot " + std::to_string(result.snapshot_id));
+    logger().error() << "episode " << result.episode << ": "
+                     << result.error->to_string();
+    metrics.episode_ms.observe(ms_since(episode_start));
+    return result;
   }
 
   strategy.on_episode(*live_, result.explorer);
@@ -289,8 +288,6 @@ EpisodeResult Orchestrator::run_episode(InputStrategy& strategy) {
   const auto make_task = [&] {
     explore::CloneTask task;
     task.index = tasks.size();
-    task.blueprint = &prototype_->blueprint();
-    task.snap = snap;
     task.prototype = prototype_;
     task.prepared = prepared;
     task.explorer = result.explorer;
@@ -426,6 +423,13 @@ EpisodeResult Orchestrator::run_episode(InputStrategy& strategy) {
   for (std::size_t index = 0; index < outcomes.size(); ++index) {
     const explore::CloneOutcome& outcome = outcomes[index];
     result.clone_ms += outcome.clone_ms;
+    if (outcome.error.has_value() && !result.error.has_value()) {
+      result.error = util::make_error("dice.episode.clone_reset_failed",
+                                      "task " + std::to_string(index) + ": " +
+                                          outcome.error->to_string());
+      logger().error() << "episode " << result.episode << ": "
+                       << result.error->to_string();
+    }
     if (!outcome.ran) continue;
     ++result.clones_run;
     if (!tasks[index].baseline) ++result.inputs_subjected;

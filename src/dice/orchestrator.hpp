@@ -13,6 +13,7 @@
 
 #include <chrono>
 #include <memory>
+#include <optional>
 #include <unordered_set>
 
 #include "dice/checks.hpp"
@@ -60,22 +61,13 @@ struct DiceOptions {
   /// (see explore::CloneTask::rng); the knob exists so future randomized
   /// clone behavior has a deterministic, scheduling-independent source.
   std::uint64_t rng_seed = 0xd1ce5eed;
-  /// Decode-once clone pipeline: parse each snapshot into a
-  /// PreparedSnapshot once and reset per-worker arena Systems from it,
-  /// instead of constructing + re-decoding per clone. Off = the legacy
-  /// clone_from path (kept as the equivalence baseline; fault sets are
-  /// byte-identical either way).
-  bool prepared_clones = true;
   /// Delta checkpoints: per-episode snapshots re-encode only routers whose
   /// state changed since the previous prepared snapshot; unchanged routers
   /// contribute one byte. Cuts per-episode snapshot bytes from
-  /// O(topology size) to O(churn) on quiet systems. Requires
-  /// `prepared_clones` (deltas resolve against the previous
-  /// PreparedSnapshot; the legacy clone_from path reads raw bytes and must
-  /// never see a delta envelope) — the flag is ignored without it. Fault
-  /// sets are byte-identical either way: delta nodes share the baseline's
-  /// decoded checkpoint object, and the cut hash is computed over
-  /// full-state hashes, not encoded bytes.
+  /// O(topology size) to O(churn) on quiet systems; deltas resolve against
+  /// the previous PreparedSnapshot. Fault sets are byte-identical either
+  /// way: delta nodes share the baseline's decoded checkpoint object, and
+  /// the cut hash is computed over full-state hashes, not encoded bytes.
   bool delta_snapshots = true;
   /// Terminate a clone run as soon as its oscillation detector is
   /// conclusive (any prefix's best-route flip count reaches
@@ -122,10 +114,16 @@ struct EpisodeResult {
   /// `faults` is a partial list. Callers aggregating canonical fault sets
   /// (ScenarioMatrix) must treat the whole cell as incomplete.
   bool interrupted = false;
+  /// The episode could not run every clone: `dice.episode.prepare_failed`
+  /// (the snapshot did not decode; no clone ran) or
+  /// `dice.episode.clone_reset_failed` (an arena reset failed; the first
+  /// failing task's error is the detail). Like `interrupted`, `faults` is
+  /// then partial and aggregators must treat the cell as incomplete.
+  std::optional<util::Error> error;
   std::vector<FaultReport> faults;  ///< deduplicated within the episode
   double snapshot_ms = 0.0;         ///< wall-clock stage timings (Fig. 2)
   double restore_ms = 0.0;          ///< one-time PreparedSnapshot decode/build
-  double clone_ms = 0.0;            ///< per-clone setup total (construct or reset)
+  double clone_ms = 0.0;            ///< per-clone setup total (arena resets)
   double explore_ms = 0.0;
   double check_ms = 0.0;
 };
@@ -195,13 +193,13 @@ class Orchestrator {
                                                       bool quiesced) const;
 
  private:
-  /// The arena a task should run on: the executing pool worker's (shared
-  /// or owned), else the externally provided one, else this orchestrator's
+  /// The arena a task runs on: the executing pool worker's (shared or
+  /// owned), else the externally provided one, else this orchestrator's
   /// serial arena. `pooled` distinguishes a batch running ON pool workers
   /// (worker ids index that pool's arenas) from the inline serial loop
   /// (worker id is a constant 0 and must NOT touch shared arena 0 — that
   /// one belongs to the pool's real worker 0).
-  [[nodiscard]] explore::CloneArena* arena_for(std::size_t worker, bool pooled) noexcept;
+  [[nodiscard]] explore::CloneArena& arena_for(std::size_t worker, bool pooled) noexcept;
 
   /// The flip threshold bootstrap converges under (0 = early-exit off) —
   /// one definition for both converge_bounded and the LiveStateCache key.

@@ -119,17 +119,19 @@ snapshot::SnapshotId System::take_snapshot(sim::NodeId initiator) {
   return id;
 }
 
+snapshot::PreparedSnapshot::NodeResolver System::node_resolver() const {
+  return [this](sim::NodeId node) -> const snapshot::Checkpointable* {
+    return node < routers_.size() ? routers_[node].get() : nullptr;
+  };
+}
+
 std::shared_ptr<const snapshot::PreparedSnapshot> System::prepare_snapshot(
     snapshot::SnapshotId id) {
   if (auto existing = store_.find_prepared(id)) return existing;
   const snapshot::Snapshot* snap = store_.find(id);
   if (snap == nullptr) return nullptr;
-  auto prepared = snapshot::PreparedSnapshot::build(
-      *snap,
-      [this](sim::NodeId node) -> const snapshot::Checkpointable* {
-        return node < routers_.size() ? routers_[node].get() : nullptr;
-      },
-      delta_baseline_.get());
+  auto prepared =
+      snapshot::PreparedSnapshot::build(*snap, node_resolver(), delta_baseline_.get());
   if (!prepared) {
     logger().error() << "prepare_snapshot " << id
                      << " failed: " << prepared.error().to_string();
@@ -145,11 +147,11 @@ std::shared_ptr<const snapshot::PreparedSnapshot> System::prepare_snapshot(
 
 util::Status System::reset_from(const snapshot::PreparedSnapshot& prepared,
                                 sim::Time resume_at) {
-  // Rewind everything dynamic. The order mirrors fresh construction +
-  // clone_from exactly (same simulator sequence numbers, same timer
-  // scheduling order, same injection order), which is what makes an arena
-  // reset bit-identical to a freshly built clone. The clock fast-forwards
-  // before apply so re-armed session timers land relative to resume_at.
+  // Rewind everything dynamic back to what fresh construction leaves (same
+  // simulator sequence numbers, same timer scheduling order, same injection
+  // order), which is what makes an arena reset bit-identical to a reset of
+  // a freshly built System. The clock fast-forwards before apply so
+  // re-armed session timers land relative to resume_at.
   sim_.reset();
   sim_.fast_forward(resume_at);
   net_.reset_dynamic();
@@ -176,39 +178,15 @@ util::Status System::reset_from(const snapshot::PreparedSnapshot& prepared,
 
 util::Status System::reset_from_raw(const snapshot::Snapshot& snap,
                                     sim::Time resume_at) {
-  // Mirrors reset_from step for step: same rewind sequence, node states
-  // installed in ascending node-id order (snap.nodes is an ordered map,
-  // matching PreparedSnapshot's node order), frames re-injected with the
-  // same per-channel 0,1,2... offsets PreparedSnapshot::build records. Any
-  // divergence here would break the cold-vs-warm fault-byte identity that
-  // tests/svc_soak_test.cpp pins.
-  sim_.reset();
-  sim_.fast_forward(resume_at);
-  net_.reset_dynamic();
-  coordinator_.reset();
-  delta_baseline_.reset();  // reuse crosses snapshot lineages
-  for (auto& router : routers_) router->reset_for_reuse();
-
-  for (const auto& [node, checkpoint] : snap.nodes) {
-    if (node >= routers_.size()) return util::make_error("system.reset.unknown_node");
-    util::ByteReader reader(checkpoint.state);
-    if (auto status = routers_[node]->restore(reader); !status) {
-      logger().error() << "reset_from_raw failed for node " << node << ": "
-                       << status.error().to_string();
-      return status;
-    }
+  // One apply path: decode the cut into a throwaway PreparedSnapshot (no
+  // baseline — a delta envelope fails typed) and reset from it. The decoded
+  // RIB tables outlive the temporary only as this System's own tables.
+  auto prepared = snapshot::PreparedSnapshot::build(snap, node_resolver());
+  if (!prepared) {
+    logger().error() << "reset_from_raw failed: " << prepared.error().to_string();
+    return prepared.error();
   }
-  for (const auto& [key, payloads] : snap.channels) {
-    sim::Time offset = 0;
-    for (const util::Bytes& payload : payloads) {
-      sim::Frame frame;
-      frame.kind = sim::FrameKind::kData;
-      frame.payload = payload;
-      net_.inject(key.from, key.to, std::move(frame), offset);
-      offset += 1;  // one microsecond apart keeps ordering deterministic
-    }
-  }
-  return util::Status::success();
+  return reset_from(*prepared.value(), resume_at);
 }
 
 std::shared_ptr<snapshot::PreparedLiveState> System::capture_live_state(
@@ -247,35 +225,6 @@ util::Status System::resume_from(const snapshot::PreparedLiveState& state) {
   if (state.snapshot != nullptr) return reset_from(*state.snapshot, state.resume_at);
   if (state.raw != nullptr) return reset_from_raw(*state.raw, state.resume_at);
   return util::make_error("system.resume.empty_state");
-}
-
-std::unique_ptr<System> System::clone_from(const bgp::SystemBlueprint& blueprint,
-                                           const snapshot::Snapshot& snap) {
-  auto clone = std::make_unique<System>(blueprint);
-  // Restore node states. Sessions re-arm their own timers.
-  for (const auto& [node, checkpoint] : snap.nodes) {
-    util::ByteReader reader(checkpoint.state);
-    if (auto status = clone->routers_.at(node)->restore(reader); !status) {
-      logger().error() << "clone restore failed for node " << node << ": "
-                       << status.error().to_string();
-      return nullptr;
-    }
-  }
-  // Re-originate local networks into restored Loc-RIBs (the checkpoint
-  // already contains them; restore is state-complete, so nothing to do).
-  // Re-inject in-flight frames in recorded order with small staggered
-  // delays to preserve per-channel ordering.
-  for (const auto& [key, payloads] : snap.channels) {
-    sim::Time offset = 0;
-    for (const util::Bytes& payload : payloads) {
-      sim::Frame frame;
-      frame.kind = sim::FrameKind::kData;
-      frame.payload = payload;
-      clone->net_.inject(key.from, key.to, std::move(frame), offset);
-      offset += 1;  // one microsecond apart keeps ordering deterministic
-    }
-  }
-  return clone;
 }
 
 void System::inject_message(sim::NodeId from, sim::NodeId target, util::Bytes message) {

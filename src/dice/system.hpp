@@ -4,8 +4,9 @@
 //   - the *live* system, which runs "for real" and is never disturbed
 //     beyond marker frames (paper: DiCE "operates alongside the deployed
 //     system but in isolation from it");
-//   - *clones*: shadow instances reconstructed from a consistent snapshot
-//     (System::clone_from), where inputs are subjected and checks run.
+//   - *clones*: shadow instances re-seeded from a consistent snapshot
+//     (System::reset_from on a per-worker explore::CloneArena System),
+//     where inputs are subjected and checks run.
 #pragma once
 
 #include <memory>
@@ -23,9 +24,9 @@
 namespace dice::core {
 
 /// Blueprint-derived immutables computed once and shared by every System
-/// instance of that blueprint: the live system, every legacy clone, and
-/// every clone-arena System. Building ~32 clones per episode used to redo
-/// this work (address book, membership set) 32 times.
+/// instance of that blueprint: the live system and every clone-arena
+/// System. Building ~32 clones per episode used to redo this work (address
+/// book, membership set) 32 times.
 class SystemPrototype {
  public:
   explicit SystemPrototype(bgp::SystemBlueprint blueprint);
@@ -92,10 +93,9 @@ class System {
 
   /// Enables delta checkpoints: each take_snapshot advertises the last
   /// successfully *prepared* snapshot as the baseline, and prepare_snapshot
-  /// resolves delta envelopes against it. Off by default — callers that
-  /// restore through the legacy clone_from path (raw bytes, no baseline)
-  /// must leave it off; the Orchestrator turns it on only when every
-  /// restore goes through PreparedSnapshot.
+  /// resolves delta envelopes against it. Off by default — a cut meant for
+  /// reset_from_raw (raw bytes, no baseline) must be taken with it off;
+  /// the Orchestrator turns it on per DiceOptions::delta_snapshots.
   void set_delta_checkpoints(bool enabled) noexcept { delta_checkpoints_ = enabled; }
   [[nodiscard]] bool delta_checkpoints() const noexcept { return delta_checkpoints_; }
 
@@ -110,23 +110,22 @@ class System {
   /// channels, resets every router, applies the typed checkpoints and
   /// re-injects the prepared frame schedule. No byte decoding, no
   /// construction — the restore-many half of decode-once/restore-many.
-  /// The result is bit-identical to a fresh clone_from of the same cut.
+  /// The result is bit-identical to the same reset of a freshly built
+  /// System. This is the ONE apply path; every other restore wraps it.
   /// `resume_at` fast-forwards the rewound clock before any timer re-arms
   /// (live-state resume); clones keep the default 0.
   [[nodiscard]] util::Status reset_from(const snapshot::PreparedSnapshot& prepared,
                                         sim::Time resume_at = 0);
 
-  /// Raw-cut sibling of reset_from: re-seeds THIS instance straight from an
-  /// encoded Snapshot via each router's one-shot restore (parse + apply,
-  /// one decode per node). Same reset sequence, same apply order, same
-  /// frame-injection offsets, so the result is bit-identical to
-  /// reset_from(prepared-form-of-snap). This is the warm-restart path: a
-  /// daemon resuming a persisted cut restores it exactly once. The decode
-  /// is the only per-route cost — apply shares the decoded RIB tables
-  /// (copy-on-write, bgp/rib.hpp), which the router then owns alone once
-  /// the temporary decoded form is dropped. Delta-encoded cuts
-  /// (kCheckpointSameAsBaseline envelopes) fail with the usual typed error
-  /// — persisted captures are always standalone (live_state.hpp).
+  /// Raw-cut wrapper over reset_from: decodes `snap` into a temporary
+  /// PreparedSnapshot (one parse per node, no baseline) and resets from it.
+  /// This is the warm-restart path: a daemon resuming a persisted cut
+  /// restores it exactly once. The decode is the only per-route cost —
+  /// apply shares the decoded RIB tables (copy-on-write, bgp/rib.hpp),
+  /// which the router then owns alone once the temporary is dropped.
+  /// Delta-encoded cuts (kCheckpointSameAsBaseline envelopes) fail with
+  /// `prepared.delta.baseline_mismatch` — persisted captures are always
+  /// standalone (live_state.hpp).
   [[nodiscard]] util::Status reset_from_raw(const snapshot::Snapshot& snap,
                                             sim::Time resume_at = 0);
 
@@ -146,12 +145,6 @@ class System {
   /// donor's bootstrap end. Valid on a freshly constructed (never started)
   /// System — the LiveStateCache fast path that replaces start()+converge.
   [[nodiscard]] util::Status resume_from(const snapshot::PreparedLiveState& state);
-
-  /// Builds a clone of `snapshot` (same blueprint, restored state,
-  /// re-injected in-flight frames) as a fresh isolated System — the legacy
-  /// decode-per-clone path, kept as the equivalence baseline.
-  [[nodiscard]] static std::unique_ptr<System> clone_from(
-      const bgp::SystemBlueprint& blueprint, const snapshot::Snapshot& snap);
 
   /// Injects a raw protocol message into `target` as if sent by `from`
   /// (DiCE input subjection on clones).
@@ -188,6 +181,9 @@ class System {
   [[nodiscard]] std::map<sim::NodeId, bgp::Asn> node_asns() const;
 
  private:
+  /// Maps node ids to this System's routers for PreparedSnapshot::build.
+  [[nodiscard]] snapshot::PreparedSnapshot::NodeResolver node_resolver() const;
+
   std::shared_ptr<const SystemPrototype> prototype_;
   sim::Simulator sim_;
   sim::Network net_;

@@ -23,7 +23,7 @@ struct ArenaMetrics {
 
 }  // namespace
 
-core::System* CloneArena::acquire(
+util::Result<core::System*> CloneArena::acquire(
     const std::shared_ptr<const core::SystemPrototype>& prototype,
     const snapshot::PreparedSnapshot& prepared, bool& reused) {
   ArenaMetrics& metrics = arena_metrics();
@@ -42,7 +42,7 @@ core::System* CloneArena::acquire(
   }
   if (auto status = system_->reset_from(prepared); !status) {
     clear();
-    return nullptr;
+    return status.error();
   }
   return system_.get();
 }

@@ -1,11 +1,10 @@
-// CloneArena: one reusable shadow System per worker.
+// CloneArena: one reusable shadow System per worker — the only way a clone
+// is built.
 //
-// The legacy clone path paid O(construct + decode) for every CloneTask:
-// build a full System from the blueprint, then re-parse every node
-// checkpoint from raw bytes. With PreparedSnapshot the decode happens once
-// per snapshot; the arena removes the construction too — each worker keeps
-// a single System alive and System::reset_from re-seeds it between tasks
-// (and, in ScenarioMatrix, between cells that share a SystemPrototype).
+// PreparedSnapshot decodes each cut once; the arena removes per-clone
+// construction too — each worker keeps a single System alive and
+// System::reset_from re-seeds it between tasks (and, in ScenarioMatrix,
+// between cells that share a SystemPrototype).
 //
 // Thread-safety: none by design. An arena belongs to exactly one worker at
 // a time — ExplorePool owns one per worker thread, the orchestrator's
@@ -32,9 +31,10 @@ class CloneArena {
   /// one first when the arena is empty or was last used with a different
   /// prototype (ScenarioMatrix reuses arenas across cells; same prototype
   /// pointer = reusable). `reused` reports which path was taken. Returns
-  /// nullptr when the reset fails — the arena drops its (possibly half-
-  /// seeded) System so the next acquire rebuilds from scratch.
-  [[nodiscard]] core::System* acquire(
+  /// reset_from's typed error when the reset fails — the arena drops its
+  /// (possibly half-seeded) System so the next acquire rebuilds from
+  /// scratch.
+  [[nodiscard]] util::Result<core::System*> acquire(
       const std::shared_ptr<const core::SystemPrototype>& prototype,
       const snapshot::PreparedSnapshot& prepared, bool& reused);
 

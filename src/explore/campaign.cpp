@@ -97,7 +97,6 @@ core::DiceOptions CampaignOptions::to_dice_options() const {
   dice.oscillation_threshold = determinism.oscillation_threshold;
   dice.parallelism = 1;  // never a private pool; the matrix wires the shared one
   dice.rng_seed = determinism.rng_seed;
-  dice.prepared_clones = caching.prepared_clones;
   dice.delta_snapshots = caching.delta_snapshots;
   dice.oscillation_early_exit = determinism.oscillation_early_exit;
   dice.bootstrap_early_exit = determinism.bootstrap_early_exit;

@@ -75,10 +75,9 @@ struct CampaignOptions {
     /// ever replayed. Must outlive the campaign's run() calls; nullptr =
     /// no seeding.
     const std::vector<std::uint64_t>* unsat_seed = nullptr;
-    bool prepared_clones = true;         ///< was DiceOptions::prepared_clones
     /// Delta checkpoints against the previous prepared snapshot (snapshot
-    /// cost follows churn, not topology size). Requires `prepared_clones`;
-    /// ignored without it. See DiceOptions::delta_snapshots.
+    /// cost follows churn, not topology size). See
+    /// DiceOptions::delta_snapshots.
     bool delta_snapshots = true;
   };
   /// Where the work runs. `workers` is the ONE global knob: a single

@@ -307,7 +307,7 @@ MatrixResult ScenarioMatrix::run(ExplorePool& pool, const RunControl& control) {
     // share the same matrix seed.
     dice.rng_seed = util::Rng(cell.seed).fork(2 * index).next();
     // Clones land on the arena of whichever pool worker executes them
-    // (nested) or on this worker's arena (serial/legacy); the shared
+    // (nested) or on this worker's arena (cells-only); the shared
     // per-scenario prototype lets every arena's System survive across cells.
     core::Orchestrator orchestrator(
         prototypes_[cell.scenario * options_.implementations.size() + cell.impl_pos],
@@ -342,8 +342,10 @@ MatrixResult ScenarioMatrix::run(ExplorePool& pool, const RunControl& control) {
         make_strategy(cell.strategy, strategy_seed, cache);
 
     // Between-episodes cancellation points; an episode the token cut short
-    // reports interrupted itself. Either way the cell is incomplete and
-    // withholds its (partial) faults from the canonical list.
+    // reports interrupted itself, and an errored episode (its snapshot did
+    // not prepare or a clone reset failed) counts the same. Either way the
+    // cell is incomplete and withholds its (partial) faults from the
+    // canonical list.
     bool interrupted = stoppable && control.stop.stop_requested();
     for (std::size_t episode = 0;
          !interrupted && episode < options_.episodes_per_cell; ++episode) {
@@ -351,7 +353,12 @@ MatrixResult ScenarioMatrix::run(ExplorePool& pool, const RunControl& control) {
       ++out.episodes;
       out.clones_run += episode_result.clones_run;
       out.inputs_subjected += episode_result.inputs_subjected;
-      interrupted = episode_result.interrupted ||
+      if (episode_result.error.has_value()) {
+        logger().error() << "cell " << index << " (" << spec.name << ") episode "
+                         << episode_result.episode << ": "
+                         << episode_result.error->to_string();
+      }
+      interrupted = episode_result.interrupted || episode_result.error.has_value() ||
                     (stoppable && episode + 1 < options_.episodes_per_cell &&
                      control.stop.stop_requested());
     }
@@ -371,7 +378,7 @@ MatrixResult ScenarioMatrix::run(ExplorePool& pool, const RunControl& control) {
                     << cell.seed << (impl.empty() ? "" : "/" + impl) << ": "
                     << out.faults << " fault(s), "
                     << out.clones_run << " clones"
-                    << (out.completed ? "" : " [cancelled]");
+                    << (out.completed ? "" : " [incomplete]");
     if (control.wall_observer != nullptr) {
       const std::lock_guard<std::mutex> wall_lock(wall_mutex);
       const CellDescriptor desc = descriptor(index);

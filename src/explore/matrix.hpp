@@ -134,9 +134,11 @@ struct CellResult {
   std::uint64_t seed = 0;
   /// Implementation-axis entry this cell ran under ("" = as authored).
   std::string implementation;
-  /// Cancellation bookkeeping (always true/true without a stop token):
+  /// Completion bookkeeping (always true/true without a stop token or an
+  /// episode error):
   /// `started` — the cell body ran at all (a fired token skips whole
-  /// cells); `completed` — every episode finished uninterrupted. Only
+  /// cells); `completed` — every episode finished uninterrupted and
+  /// without an EpisodeResult::error (an errored cell is logged). Only
   /// completed cells contribute to the canonical fault list, which keeps
   /// the faults of every completed cell byte-identical to an uncancelled
   /// run's at any worker count.
@@ -163,7 +165,7 @@ struct MatrixResult {
   LiveStateCache::Stats live_cache;         ///< bootstrap-once cache traffic
   ExplorePool::Stats pool;                  ///< pool stats delta for this run
   std::size_t cells_completed = 0;
-  bool stopped = false;  ///< some cell was skipped or interrupted by the token
+  bool stopped = false;  ///< some cell was skipped, interrupted or errored
 };
 
 /// Observer/stop plumbing for a matrix run. Default-constructed = the

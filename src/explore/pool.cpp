@@ -59,26 +59,16 @@ thread_local std::size_t tl_worker = ExplorePool::kNoWorker;
 
 }  // namespace
 
-CloneOutcome run_clone_task(const CloneTask& task, const CheckFn& check, CloneArena* arena) {
+CloneOutcome run_clone_task(const CloneTask& task, const CheckFn& check, CloneArena& arena) {
   CloneOutcome outcome;
   const auto clone_start = Clock::now();
-  // Prepared path: reset the worker's arena System from pre-decoded state.
-  // Legacy path: construct a System and re-decode the snapshot bytes.
-  std::unique_ptr<core::System> owned;
-  core::System* clone = nullptr;
-  if (arena != nullptr && task.prepared != nullptr && task.prototype != nullptr) {
-    clone = arena->acquire(task.prototype, *task.prepared, outcome.reused);
-  }
-  if (clone == nullptr && task.blueprint != nullptr && task.snap != nullptr) {
-    // Legacy decode-per-clone path: no arena/prepared state, or the arena
-    // reset failed — the task must still run (a dropped clone is a lost
-    // fault, not just lost throughput).
-    outcome.reused = false;
-    owned = core::System::clone_from(*task.blueprint, *task.snap);
-    clone = owned.get();
-  }
+  auto acquired = arena.acquire(task.prototype, *task.prepared, outcome.reused);
   outcome.clone_ms = ms_since(clone_start);
-  if (clone == nullptr) return outcome;
+  if (!acquired) {
+    outcome.error = acquired.error();
+    return outcome;
+  }
+  core::System* clone = acquired.value();
   outcome.ran = true;
   // Flip counters restart per clone: oscillation evidence must come from
   // this clone's own convergence, not inherited live-system churn.
@@ -361,15 +351,6 @@ std::size_t ExplorePool::drain() {
     if (--task.group->pending == 0) task.group->done.notify_all();
   }
   return dropped.size();
-}
-
-std::vector<CloneOutcome> ExplorePool::explore(const std::vector<CloneTask>& tasks,
-                                               const CheckFn& check) {
-  std::vector<CloneOutcome> outcomes(tasks.size());
-  run_batch(tasks.size(), [&](std::size_t index, std::size_t worker) {
-    outcomes[index] = run_clone_task(tasks[index], check, &arena(worker));
-  });
-  return outcomes;
 }
 
 ExplorePool::Stats ExplorePool::stats() const {

@@ -41,6 +41,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -51,18 +52,15 @@
 
 namespace dice::explore {
 
-/// One unit of exploration work: clone the snapshot, subject the input,
-/// converge, check. `index` doubles as the task's result slot and as the
-/// priority that reproduces serial encounter order during fault merging.
+/// One unit of exploration work: reset a clone to the snapshot, subject the
+/// input, converge, check. `index` doubles as the task's result slot and as
+/// the priority that reproduces serial encounter order during fault merging.
 struct CloneTask {
   std::size_t index = 0;
-  const bgp::SystemBlueprint* blueprint = nullptr;
-  const snapshot::Snapshot* snap = nullptr;  ///< immutable, shared by all workers
-  /// Decode-once state (+ the prototype to build arena Systems from). When
-  /// both are set and the executing worker has an arena, the clone is an
-  /// arena reset instead of a construct+re-decode; results are
-  /// bit-identical either way. Shared_ptrs: a task in flight keeps the
-  /// prepared state alive even if the store trims it mid-batch.
+  /// Decode-once state (immutable, shared by all workers) and the prototype
+  /// arena Systems are built from; both required. Shared_ptrs: a task in
+  /// flight keeps the prepared state alive even if the store trims it
+  /// mid-batch.
   std::shared_ptr<const core::SystemPrototype> prototype;
   std::shared_ptr<const snapshot::PreparedSnapshot> prepared;
   util::Bytes input;                         ///< UPDATE body; empty for the baseline clone
@@ -87,10 +85,11 @@ struct CloneTask {
 /// What one clone run produced. Faults are raw (pre-deduplication); the
 /// caller merges them through a FaultLedger keyed by task index.
 struct CloneOutcome {
-  bool ran = false;       ///< clone reconstruction succeeded
+  bool ran = false;       ///< the arena reset succeeded and the clone ran
   bool quiesced = false;  ///< converged within budgets
   bool reused = false;    ///< served by an arena reset (no System construction)
   bool early_exit = false;  ///< terminated by the oscillation early-exit
+  std::optional<util::Error> error;  ///< why the clone did not run (!ran)
   std::vector<core::FaultReport> faults;
   double clone_ms = 0.0;
   double explore_ms = 0.0;
@@ -102,12 +101,12 @@ struct CloneOutcome {
 using CheckFn = std::function<std::vector<core::FaultReport>(
     core::System&, const CloneTask&, bool quiesced)>;
 
-/// Executes one CloneTask end to end (clone -> inject -> converge -> check).
-/// Pure with respect to shared state: reads the immutable snapshot and
-/// blueprint, owns everything else (the arena, when given, must belong to
-/// the calling worker). Safe to call from any worker.
+/// Executes one CloneTask end to end (arena reset -> inject -> converge ->
+/// check). Pure with respect to shared state: reads the immutable prepared
+/// snapshot, owns everything else (`arena` must belong to the calling
+/// worker). Safe to call from any worker.
 [[nodiscard]] CloneOutcome run_clone_task(const CloneTask& task, const CheckFn& check,
-                                          CloneArena* arena = nullptr);
+                                          CloneArena& arena);
 
 class ExplorePool {
  public:
@@ -139,12 +138,6 @@ class ExplorePool {
   /// shallow.
   void run_batch(std::size_t count,
                  const std::function<void(std::size_t task, std::size_t worker)>& fn);
-
-  /// Typed convenience: executes every CloneTask and returns outcomes in
-  /// task-index order (scheduling-independent). Tasks carrying prepared
-  /// state run on the executing worker's clone arena.
-  [[nodiscard]] std::vector<CloneOutcome> explore(const std::vector<CloneTask>& tasks,
-                                                  const CheckFn& check);
 
   /// Cancellation drain: removes every still-queued task — top-level AND
   /// child — from all worker deques and returns how many were dropped.

@@ -135,7 +135,6 @@ void encode_spec(util::ByteWriter& out, const WireCampaignSpec& spec) {
   put_bool(out, spec.include_baseline_clone);
   put_bool(out, spec.live_state_cache);
   put_bool(out, spec.share_solver_cache);
-  put_bool(out, spec.prepared_clones);
   put_bool(out, spec.delta_snapshots);
   out.vu64(spec.workers);
   put_bool(out, spec.nested);
@@ -193,9 +192,6 @@ void encode_spec(util::ByteWriter& out, const WireCampaignSpec& spec) {
   auto share_solver = get_bool(reader, "share_solver_cache");
   if (!share_solver) return share_solver.error();
   spec.share_solver_cache = share_solver.value();
-  auto prepared = get_bool(reader, "prepared_clones");
-  if (!prepared) return prepared.error();
-  spec.prepared_clones = prepared.value();
   auto delta = get_bool(reader, "delta_snapshots");
   if (!delta) return delta.error();
   spec.delta_snapshots = delta.value();
@@ -326,7 +322,6 @@ WireCampaignSpec WireCampaignSpec::from_options(std::string scenario_set,
   spec.include_baseline_clone = options.budgets.include_baseline_clone;
   spec.live_state_cache = options.caching.live_state_cache;
   spec.share_solver_cache = options.caching.share_solver_cache;
-  spec.prepared_clones = options.caching.prepared_clones;
   spec.delta_snapshots = options.caching.delta_snapshots;
   spec.workers = options.parallelism.workers;
   spec.nested = options.parallelism.nested;
@@ -351,7 +346,6 @@ explore::CampaignOptions WireCampaignSpec::to_options() const {
   options.budgets.include_baseline_clone = include_baseline_clone;
   options.caching.live_state_cache = live_state_cache;
   options.caching.share_solver_cache = share_solver_cache;
-  options.caching.prepared_clones = prepared_clones;
   options.caching.delta_snapshots = delta_snapshots;
   options.parallelism.workers = workers;
   options.parallelism.nested = nested;

@@ -1,4 +1,4 @@
-// shard wire form (DSHD v1): the frames a ShardCoordinator and a
+// shard wire form (DSHD v2): the frames a ShardCoordinator and a
 // dice_shard_worker exchange over pipes.
 //
 // Same envelope discipline as svc::ArtifactStore's DSVC files — magic,
@@ -47,7 +47,9 @@
 namespace dice::shard {
 
 inline constexpr char kMagic[4] = {'D', 'S', 'H', 'D'};
-inline constexpr std::uint8_t kVersion = 1;
+/// v2 dropped the clone-path flag from the campaign spec (there is one
+/// clone path); a v1 frame fails with `shard.wire.version`.
+inline constexpr std::uint8_t kVersion = 2;
 /// Hard ceiling on one frame (64 MiB): a corrupt length prefix must not
 /// make the coordinator allocate unbounded memory.
 inline constexpr std::size_t kMaxFrameBytes = std::size_t{1} << 26;
@@ -78,7 +80,6 @@ struct WireCampaignSpec {
   // Caching.
   bool live_state_cache = true;
   bool share_solver_cache = false;
-  bool prepared_clones = true;
   bool delta_snapshots = true;
   // Parallelism INSIDE the worker process (threads, not processes).
   std::uint64_t workers = 1;

@@ -18,8 +18,9 @@ using SnapshotId = std::uint64_t;
 /// change since the baseline snapshot writes exactly this one byte instead
 /// of a full checkpoint; PreparedSnapshot::build resolves it by sharing the
 /// baseline's DecodedCheckpoint. The value is reserved across checkpoint
-/// format owners: legacy streams start with 0x00 (high byte of a u32 count),
-/// the byte-coded BGP format with 0x02 (bgp::ckpt::kFormatV2).
+/// format owners: the byte-coded BGP format starts with 0x02
+/// (bgp::ckpt::kFormatV2); 0x00 and 0x01 (the retired fixed-width format)
+/// are refused as unknown.
 inline constexpr std::uint8_t kCheckpointSameAsBaseline = 0x03;
 
 /// Typed, immutable result of decoding a checkpoint once. Concrete
@@ -48,10 +49,6 @@ class Checkpointable {
   /// restore (no byte decoding). Implementations must re-arm any timers
   /// implied by the applied state.
   [[nodiscard]] virtual util::Status apply(const DecodedCheckpoint& state) = 0;
-
-  /// One-shot restore (parse + apply). Kept for callers that only restore
-  /// a checkpoint once and have no reason to share the decoded form.
-  [[nodiscard]] virtual util::Status restore(util::ByteReader& reader);
 
   /// Content hash of the checkpointed state; clones must reproduce it.
   [[nodiscard]] virtual std::uint64_t state_hash() const;

@@ -2,13 +2,14 @@
 //
 // A raw Snapshot stores each node's checkpoint as opaque bytes and each
 // channel's in-flight frames as raw payload lists — cheap to capture, but
-// every clone built from it used to re-parse every checkpoint and rebuild
-// the frame schedule from scratch. A PreparedSnapshot is produced exactly
+// not restorable without a decode. A PreparedSnapshot is produced exactly
 // once per take_snapshot: every checkpoint parsed into its typed
 // DecodedCheckpoint, the in-flight payloads flattened into a ready-to-inject
 // frame schedule. It is immutable after build and published through the
 // SnapshotStore as shared_ptr<const>, so any number of workers can restore
-// clones from it concurrently while the store trims older entries.
+// clones from it concurrently while the store trims older entries. It is
+// also the only restore input: System::reset_from applies it, and
+// System::reset_from_raw builds a temporary one from a raw cut.
 #pragma once
 
 #include <cstdint>
@@ -22,8 +23,8 @@
 namespace dice::snapshot {
 
 /// One in-flight frame of the cut, pre-scheduled: inject `payload` on the
-/// directed channel from->to at `offset` (staggered per channel to preserve
-/// recorded ordering, exactly like the legacy clone path).
+/// directed channel from->to at `offset` (staggered one microsecond apart
+/// per channel to preserve recorded ordering).
 struct PreparedFrame {
   sim::NodeId from = sim::kInvalidNode;
   sim::NodeId to = sim::kInvalidNode;
@@ -66,7 +67,7 @@ class PreparedSnapshot {
     return nodes_;
   }
   /// Channel-key order, per-channel offsets ascending — replaying this
-  /// schedule is bit-identical to the legacy per-clone injection loop.
+  /// schedule re-injects the cut's in-flight frames in recorded order.
   [[nodiscard]] const std::vector<PreparedFrame>& schedule() const noexcept {
     return schedule_;
   }

@@ -7,12 +7,6 @@
 
 namespace dice::snapshot {
 
-util::Status Checkpointable::restore(util::ByteReader& reader) {
-  auto decoded = parse(reader);
-  if (!decoded) return decoded.error();
-  return apply(*decoded.value());
-}
-
 std::uint64_t Checkpointable::state_hash() const {
   util::ByteWriter writer;
   checkpoint(writer);

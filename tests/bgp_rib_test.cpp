@@ -3,6 +3,7 @@
 #include <thread>
 #include <vector>
 
+#include "bgp/checkpoint_codec.hpp"
 #include "bgp/rib.hpp"
 #include "obs/metrics.hpp"
 #include "obs/names.hpp"
@@ -61,28 +62,45 @@ TEST(RibTest, ContentHashTracksContent) {
   EXPECT_EQ(a.content_hash(), b.content_hash());
 }
 
-TEST(RibTest, SerializeDeserializeRoundTrip) {
+// A Rib as the v2 checkpoint stream carries it: attribute pool section, then
+// the pool-indexed route list.
+[[nodiscard]] util::Bytes encode_rib_v2(const Rib& rib) {
+  ckpt::AttrPoolEncoder pool;
+  util::ByteWriter routes;
+  ckpt::write_rib_v2(routes, rib, pool);
+  util::ByteWriter writer;
+  pool.emit(writer);
+  writer.raw(routes.span());
+  return writer.bytes();
+}
+
+[[nodiscard]] util::Result<Rib> decode_rib_v2(const util::Bytes& bytes) {
+  util::ByteReader reader(bytes);
+  auto tag = reader.u8();
+  if (!tag || tag.value() != static_cast<std::uint8_t>(ckpt::Tag::kAttrPool)) {
+    return util::make_error("test.rib.pool_tag");
+  }
+  auto pool = ckpt::AttrPoolDecoder::parse(reader);
+  if (!pool) return pool.error();
+  return ckpt::read_rib_v2(reader, pool.value());
+}
+
+TEST(RibTest, CheckpointCodecRoundTrip) {
   Rib rib;
   for (std::uint8_t i = 1; i <= 20; ++i) rib.upsert(make_route(i, 50u + i));
-  util::ByteWriter writer;
-  rib.serialize(writer);
-  util::ByteReader reader(writer.bytes());
-  auto restored = Rib::deserialize(reader);
-  ASSERT_TRUE(restored.ok());
+  auto restored = decode_rib_v2(encode_rib_v2(rib));
+  ASSERT_TRUE(restored.ok()) << restored.error().to_string();
   EXPECT_EQ(restored.value().size(), 20u);
   EXPECT_EQ(restored.value().content_hash(), rib.content_hash());
   EXPECT_EQ(restored.value().table(), rib.table());
 }
 
-TEST(RibTest, DeserializeRejectsTruncation) {
+TEST(RibTest, CheckpointCodecRejectsTruncation) {
   Rib rib;
   rib.upsert(make_route(1));
-  util::ByteWriter writer;
-  rib.serialize(writer);
-  util::Bytes bytes = writer.bytes();
+  util::Bytes bytes = encode_rib_v2(rib);
   bytes.resize(bytes.size() / 2);
-  util::ByteReader reader(bytes);
-  EXPECT_FALSE(Rib::deserialize(reader).ok());
+  EXPECT_FALSE(decode_rib_v2(bytes).ok());
 }
 
 // ---------------------------------------------------------------------------
@@ -242,9 +260,9 @@ TEST_P(AttrSerializeProperty, RoundTrip) {
     }
 
     util::ByteWriter writer;
-    serialize_attrs(writer, attrs);
+    ckpt::write_attrs_v2(writer, attrs);
     util::ByteReader reader(writer.bytes());
-    auto restored = deserialize_attrs(reader);
+    auto restored = ckpt::read_attrs_v2(reader);
     ASSERT_TRUE(restored.ok()) << restored.error().to_string();
     EXPECT_EQ(restored.value(), attrs);
   }

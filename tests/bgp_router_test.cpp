@@ -226,7 +226,9 @@ TEST(RouterTest, CheckpointRestoreRoundTripsState) {
   // Build a fresh system (same blueprint) and restore into its router 1.
   System other(system.blueprint());
   util::ByteReader reader(writer.bytes());
-  ASSERT_TRUE(other.router(1).restore(reader).ok());
+  auto decoded = other.router(1).parse(reader);
+  ASSERT_TRUE(decoded.ok()) << decoded.error().to_string();
+  ASSERT_TRUE(other.router(1).apply(*decoded.value()).ok());
   EXPECT_EQ(other.router(1).state_hash(), original_hash);
   EXPECT_EQ(other.router(1).loc_rib().table().size(),
             original.loc_rib().table().size());

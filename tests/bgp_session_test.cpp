@@ -1,6 +1,7 @@
 // Session FSM unit tests against a mock host (no network, no router).
 #include <gtest/gtest.h>
 
+#include "bgp/checkpoint_codec.hpp"
 #include "bgp/session.hpp"
 
 namespace dice::bgp {
@@ -193,14 +194,16 @@ TEST_F(SessionTest, TransportResetIsSilent) {
   EXPECT_EQ(host_.down_events[0].second, "wire cut");
 }
 
-TEST_F(SessionTest, CheckpointRestoreReestablishesTimers) {
+TEST_F(SessionTest, CheckpointApplyReestablishesTimers) {
   establish();
   util::ByteWriter writer;
-  session_->checkpoint(writer);
+  ckpt::write_session_v2(writer, *session_);
 
   Session restored(host_, 2, neighbor_, local_);
   util::ByteReader reader(writer.bytes());
-  ASSERT_TRUE(restored.restore(reader).ok());
+  auto checkpoint = ckpt::read_session_v2(reader);
+  ASSERT_TRUE(checkpoint.ok()) << checkpoint.error().to_string();
+  restored.apply_checkpoint(checkpoint.value());
   EXPECT_TRUE(restored.established());
   EXPECT_EQ(restored.peer_router_id(), 22u);
   EXPECT_EQ(restored.negotiated_hold(), 90u);
@@ -209,11 +212,10 @@ TEST_F(SessionTest, CheckpointRestoreReestablishesTimers) {
   EXPECT_FALSE(restored.established());
 }
 
-TEST_F(SessionTest, RestoreRejectsGarbage) {
-  Session fresh(host_, 2, neighbor_, local_);
+TEST_F(SessionTest, CheckpointDecodeRejectsGarbage) {
   const util::Bytes garbage{0x09};  // truncated + invalid state value
   util::ByteReader reader(garbage);
-  EXPECT_FALSE(fresh.restore(reader).ok());
+  EXPECT_FALSE(ckpt::read_session_v2(reader).ok());
 }
 
 TEST_F(SessionTest, EbgpDetection) {

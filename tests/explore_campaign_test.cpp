@@ -196,7 +196,7 @@ TEST(CampaignOptionsTest, BuilderRejectsNonsense) {
 TEST(CampaignOptionsTest, LoweringMapsEveryLegacyKnob) {
   CampaignOptions options = small_options(/*workers=*/3);
   options.budgets.include_baseline_clone = false;
-  options.caching.prepared_clones = false;
+  options.caching.delta_snapshots = false;
   options.caching.share_solver_cache = true;
   options.determinism.rng_seed = 42;
   options.determinism.oscillation_threshold = 5;
@@ -205,7 +205,7 @@ TEST(CampaignOptionsTest, LoweringMapsEveryLegacyKnob) {
   EXPECT_EQ(dice.inputs_per_episode, 4u);
   EXPECT_EQ(dice.clone_event_budget, 60'000u);
   EXPECT_FALSE(dice.include_baseline_clone);
-  EXPECT_FALSE(dice.prepared_clones);
+  EXPECT_FALSE(dice.delta_snapshots);
   EXPECT_EQ(dice.rng_seed, 42u);
   EXPECT_EQ(dice.oscillation_threshold, 5u);
   EXPECT_EQ(dice.parallelism, 1u)

@@ -88,23 +88,25 @@ TEST(ParallelDiceTest, ParallelEpisodeUsesThePool) {
   EXPECT_EQ(dice.pool()->stats().tasks_run, 13u);  // baseline + 12 inputs
 }
 
-TEST(ParallelDiceTest, TypedExploreApiRunsCloneTasksEndToEnd) {
-  // The typed ExplorePool::explore() path: build a snapshot by hand, fan a
-  // baseline task plus one input task out, and check outcomes land in task
-  // order with the same check results the orchestrator would compute.
-  core::System live(bgp::make_line(2));
+TEST(ParallelDiceTest, CloneTasksRunOnWorkerArenasEndToEnd) {
+  // run_clone_task without an orchestrator: prepare a snapshot by hand, fan
+  // a baseline task plus one input task out over the pool's arenas, and
+  // check outcomes land in task order with the check results the
+  // orchestrator would compute.
+  auto prototype = std::make_shared<const core::SystemPrototype>(bgp::make_line(2));
+  core::System live(prototype);
   live.start();
   ASSERT_TRUE(live.converge());
   const snapshot::SnapshotId id = live.take_snapshot(0);
   ASSERT_NE(id, 0u);
-  const snapshot::Snapshot* snap = live.snapshots().find(id);
-  ASSERT_NE(snap, nullptr);
+  const auto prepared = live.prepare_snapshot(id);
+  ASSERT_NE(prepared, nullptr);
 
   std::vector<CloneTask> tasks(2);
   for (std::size_t i = 0; i < tasks.size(); ++i) {
     tasks[i].index = i;
-    tasks[i].blueprint = &live.blueprint();
-    tasks[i].snap = snap;
+    tasks[i].prototype = prototype;
+    tasks[i].prepared = prepared;
     tasks[i].explorer = 0;
     tasks[i].event_budget = 60'000;
   }
@@ -112,16 +114,19 @@ TEST(ParallelDiceTest, TypedExploreApiRunsCloneTasksEndToEnd) {
   tasks[1].input = {0x00, 0x00};  // empty withdrawn+attrs UPDATE body
   tasks[1].inject_from = 1;
 
+  const CheckFn check = [](core::System&, const CloneTask&, bool quiesced) {
+    std::vector<core::FaultReport> faults;
+    if (!quiesced) faults.push_back({});
+    return faults;
+  };
   ExplorePool pool(2);
-  const std::vector<CloneOutcome> outcomes =
-      pool.explore(tasks, [](core::System&, const CloneTask&, bool quiesced) {
-        std::vector<core::FaultReport> faults;
-        if (!quiesced) faults.push_back({});
-        return faults;
-      });
-  ASSERT_EQ(outcomes.size(), 2u);
+  std::vector<CloneOutcome> outcomes(tasks.size());
+  pool.run_batch(tasks.size(), [&](std::size_t index, std::size_t worker) {
+    outcomes[index] = run_clone_task(tasks[index], check, pool.arena(worker));
+  });
   for (const CloneOutcome& outcome : outcomes) {
     EXPECT_TRUE(outcome.ran);
+    EXPECT_FALSE(outcome.error.has_value());
     EXPECT_TRUE(outcome.quiesced);
     EXPECT_TRUE(outcome.faults.empty());
   }

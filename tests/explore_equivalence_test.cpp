@@ -1,14 +1,17 @@
-// Prepared/arena-vs-legacy equivalence: the decode-once clone pipeline must
-// be a pure optimization. For every worker count the fault sets, episode
-// counters, post-convergence state hashes and re-snapshot cut hashes have to
-// match the legacy decode-per-clone path byte for byte; the oscillation
-// early-exit must cut dispute-wheel budgets without losing the fault.
+// Clone-path receipts pinned as literals: the hijack fault text at every
+// worker count, and the per-node state and cut hashes an arena clone
+// converges to. The literals were recorded when a second, decode-per-clone
+// path still existed and matched it byte for byte; they now carry that
+// proof alone. The oscillation early-exit must cut dispute-wheel budgets
+// without losing the fault.
 #include <gtest/gtest.h>
 
 #include <sstream>
 
 #include "dice/orchestrator.hpp"
 #include "explore/matrix.hpp"
+#include "util/hash.hpp"
+#include "util/strings.hpp"
 
 namespace dice::explore {
 namespace {
@@ -27,6 +30,20 @@ using core::SystemPrototype;
   return out.str();
 }
 
+// Two hijack episodes (12 inputs each): the first sees the deployed hijack,
+// the second re-reports it and adds an input-triggered origin fault. The
+// cumulative list deduplicates the standing fault to its first sighting.
+constexpr const char* kStandingFault =
+    "[operator-mistake] route-origin @node8 ep%d: prefix hash c9e2abcc7fe62609 originated "
+    "by AS65008 but owned by AS65005 (seen on 1 node(s))\n";
+constexpr const char* kInputFault =
+    "[operator-mistake, potential] route-origin @node0 ep2: prefix hash 6e16b27d1549f50d "
+    "originated by AS65002 but owned by AS65001 (seen on 8 node(s)) "
+    "input=0007180a6500100a6500184001010240020a0102fc00fc00...\n";
+// What an internet({2,3,4}) clone of a mid-convergence cut converges to.
+constexpr std::uint64_t kConvergedCutHash = 0x0ccc27894abc89e1ULL;
+constexpr std::uint64_t kConvergedStateHash = 0xb3ca66fba25eb193ULL;
+
 struct PathOutput {
   std::vector<std::string> episodes;
   std::vector<std::size_t> clones_run;
@@ -34,21 +51,20 @@ struct PathOutput {
   std::size_t clones_reused = 0;
 };
 
-[[nodiscard]] PathOutput run_hijack(std::size_t parallelism, bool prepared_clones,
-                                    std::size_t episodes) {
+[[nodiscard]] PathOutput run_hijack(std::size_t parallelism, std::size_t episodes) {
   bgp::SystemBlueprint blueprint = bgp::make_internet({2, 3, 4});
   bgp::inject_hijack(blueprint, /*victim=*/5, /*attacker=*/8);
   DiceOptions options;
   options.inputs_per_episode = 12;
   options.clone_event_budget = 60'000;
   options.parallelism = parallelism;
-  options.prepared_clones = prepared_clones;
   Orchestrator dice(std::move(blueprint), options);
   EXPECT_TRUE(dice.bootstrap());
   GrammarStrategy strategy(/*corruption_rate=*/0.05, /*rng_seed=*/0x5eed);
   PathOutput output;
   for (std::size_t i = 0; i < episodes; ++i) {
     const EpisodeResult episode = dice.run_episode(strategy);
+    EXPECT_FALSE(episode.error.has_value());
     output.episodes.push_back(render(episode.faults));
     output.clones_run.push_back(episode.clones_run);
     output.clones_reused += episode.clones_reused;
@@ -57,58 +73,48 @@ struct PathOutput {
   return output;
 }
 
-TEST(PreparedPathEquivalenceTest, FaultSetsMatchLegacyAtWorkers1And2And8) {
-  // The acceptance property: legacy clone_from and the prepared/arena path
-  // are byte-identical at every parallelism level.
-  const PathOutput legacy = run_hijack(/*parallelism=*/1, /*prepared=*/false,
-                                       /*episodes=*/2);
-  ASSERT_FALSE(legacy.all_faults.empty()) << "hijack scenario should produce faults";
-  EXPECT_EQ(legacy.clones_reused, 0u) << "legacy path must never touch an arena";
+TEST(ClonePinTest, HijackFaultSetPinnedAtWorkers1And2And8) {
+  const std::string ep1 = util::format(kStandingFault, 1);
+  const std::string ep2 = util::format(kStandingFault, 2) + kInputFault;
   for (const std::size_t workers : {1u, 2u, 8u}) {
-    const PathOutput prepared = run_hijack(workers, /*prepared=*/true, /*episodes=*/2);
-    EXPECT_EQ(prepared.episodes, legacy.episodes) << "workers=" << workers;
-    EXPECT_EQ(prepared.clones_run, legacy.clones_run) << "workers=" << workers;
-    EXPECT_EQ(prepared.all_faults, legacy.all_faults) << "workers=" << workers;
-    EXPECT_GT(prepared.clones_reused, 0u)
+    const PathOutput output = run_hijack(workers, /*episodes=*/2);
+    EXPECT_EQ(output.episodes, (std::vector<std::string>{ep1, ep2})) << "workers=" << workers;
+    EXPECT_EQ(output.all_faults, ep1 + kInputFault) << "workers=" << workers;
+    EXPECT_EQ(output.clones_run, (std::vector<std::size_t>{13, 13})) << "workers=" << workers;
+    EXPECT_GT(output.clones_reused, 0u)
         << "workers=" << workers << ": arenas should be serving repeat clones";
   }
 }
 
-TEST(PreparedPathEquivalenceTest, CloneStateAndCutHashesMatchLegacy) {
-  // System-level receipt: a prepared/arena clone converges to the same
-  // per-node state hashes as a legacy clone, and a snapshot taken of each
-  // yields the same cut hash.
+TEST(ClonePinTest, ArenaCloneStateAndCutHashesPinned) {
+  // System-level receipt: an arena clone of a mid-convergence cut (in-flight
+  // frames exist) converges to pinned per-node state hashes, and a snapshot
+  // of it yields the pinned cut hash.
   auto prototype =
       std::make_shared<const SystemPrototype>(bgp::make_internet({2, 3, 4}));
   System live(prototype);
   live.start();
-  live.simulator().run(350);  // mid-convergence: in-flight frames exist
+  live.simulator().run(350);
   const snapshot::SnapshotId id = live.take_snapshot(1);
   ASSERT_NE(id, 0u);
-  const snapshot::Snapshot* raw = live.snapshots().find(id);
   const auto prepared = live.prepare_snapshot(id);
   ASSERT_NE(prepared, nullptr);
 
-  auto legacy = System::clone_from(live.blueprint(), *raw);
-  ASSERT_NE(legacy, nullptr);
   CloneArena arena;
   bool reused = false;
-  System* fast = arena.acquire(prototype, *prepared, reused);
-  ASSERT_NE(fast, nullptr);
-
-  ASSERT_TRUE(legacy->converge());
-  ASSERT_TRUE(fast->converge());
-  for (std::size_t i = 0; i < live.size(); ++i) {
-    const sim::NodeId node = static_cast<sim::NodeId>(i);
-    EXPECT_EQ(fast->router(node).state_hash(), legacy->router(node).state_hash())
-        << "node " << i;
+  auto acquired = arena.acquire(prototype, *prepared, reused);
+  ASSERT_TRUE(acquired.ok()) << acquired.error().to_string();
+  System& clone = *acquired.value();
+  ASSERT_TRUE(clone.converge());
+  std::uint64_t state_hash = util::kFnvOffset;
+  for (std::size_t i = 0; i < clone.size(); ++i) {
+    state_hash = util::hash_mix(state_hash,
+                                clone.router(static_cast<sim::NodeId>(i)).state_hash());
   }
-  const snapshot::SnapshotId legacy_snap = legacy->take_snapshot(0);
-  const snapshot::SnapshotId fast_snap = fast->take_snapshot(0);
-  ASSERT_NE(legacy_snap, 0u);
-  ASSERT_NE(fast_snap, 0u);
-  EXPECT_EQ(fast->snapshots().find(fast_snap)->cut_hash(),
-            legacy->snapshots().find(legacy_snap)->cut_hash());
+  EXPECT_EQ(state_hash, kConvergedStateHash);
+  const snapshot::SnapshotId clone_snap = clone.take_snapshot(0);
+  ASSERT_NE(clone_snap, 0u);
+  EXPECT_EQ(clone.snapshots().find(clone_snap)->cut_hash(), kConvergedCutHash);
 }
 
 TEST(OscillationEarlyExitTest, CutsDisputeWheelBudgetAndKeepsTheFault) {

@@ -1,7 +1,7 @@
 // LiveStateCache + bootstrap-once equivalence: cells that resume a cached
 // live state must be indistinguishable — byte-identical fault sets — from
-// cells that replay bootstrap from scratch, at every worker count and on
-// both clone paths (prepared/arena and legacy clone_from). Plus the cache's
+// cells that replay bootstrap from scratch, at every worker count, and
+// the fresh run reproduces a pinned fault-set hash. Plus the cache's
 // concurrency contracts: once-latch (one bootstrap per key, ever),
 // trim-while-held lifetimes, and uncacheable-key fallback.
 #include <gtest/gtest.h>
@@ -16,6 +16,7 @@
 #include "dice/orchestrator.hpp"
 #include "explore/live_cache.hpp"
 #include "explore/matrix.hpp"
+#include "svc/soak_service.hpp"
 
 namespace dice::explore {
 namespace {
@@ -423,15 +424,18 @@ TEST(InterleaveDealTest, StrategyHeavyMatrixNoLongerFrontloadsOneKey) {
   return scenarios;
 }
 
+// The fresh (uncached) matrix's 21 canonical faults, svc::fault_set_hash.
+constexpr std::uint64_t kFreshMatrixFaultHash = 0x0848da3c5fa99716ULL;
+
 struct MatrixOutput {
   std::string faults;                     ///< canonical cell-order fault list
+  std::uint64_t fault_hash = 0;           ///< svc::fault_set_hash of the same
   std::vector<std::string> cell_lines;    ///< per-cell counters
   std::size_t cells_from_cache = 0;
   LiveStateCache::Stats cache;
 };
 
-[[nodiscard]] MatrixOutput run_matrix(std::size_t workers, bool cached,
-                                      bool prepared_clones) {
+[[nodiscard]] MatrixOutput run_matrix(std::size_t workers, bool cached) {
   MatrixOptions options;
   options.strategies = {StrategyKind::kGrammar, StrategyKind::kRandom};
   options.seeds = {1, 2};
@@ -440,7 +444,6 @@ struct MatrixOutput {
   options.live_state_cache = cached;
   options.dice.inputs_per_episode = 4;
   options.dice.clone_event_budget = 60'000;
-  options.dice.prepared_clones = prepared_clones;
   ScenarioMatrix matrix(equivalence_scenarios(), options);
   ExplorePool pool(workers);
   const MatrixResult result = matrix.run(pool, {});
@@ -449,6 +452,7 @@ struct MatrixOutput {
   std::ostringstream faults;
   for (const FaultReport& fault : result.faults) faults << fault.to_string() << "\n";
   output.faults = faults.str();
+  output.fault_hash = svc::fault_set_hash(result.faults);
   for (const CellResult& cell : result.cells) {
     std::ostringstream line;
     line << cell.scenario << "/" << to_string(cell.strategy) << "/s" << cell.seed
@@ -465,15 +469,14 @@ TEST(MatrixLiveCacheEquivalenceTest, CachedBootstrapFaultSetsMatchFreshAtWorkers
   // The acceptance property: a matrix run that bootstraps every (scenario,
   // seed) once and resumes the rest must be byte-identical to one that
   // bootstraps every cell from scratch — for any worker count.
-  const MatrixOutput fresh = run_matrix(/*workers=*/1, /*cached=*/false,
-                                        /*prepared_clones=*/true);
+  const MatrixOutput fresh = run_matrix(/*workers=*/1, /*cached=*/false);
   ASSERT_FALSE(fresh.faults.empty()) << "hijack + dispute wheel must produce faults";
+  EXPECT_EQ(fresh.fault_hash, kFreshMatrixFaultHash);
   EXPECT_EQ(fresh.cells_from_cache, 0u);
   EXPECT_EQ(fresh.cache.misses, 0u) << "cache must stay untouched when disabled";
 
   for (const std::size_t workers : {1u, 2u, 8u}) {
-    const MatrixOutput cached = run_matrix(workers, /*cached=*/true,
-                                           /*prepared_clones=*/true);
+    const MatrixOutput cached = run_matrix(workers, /*cached=*/true);
     EXPECT_EQ(cached.faults, fresh.faults) << "workers=" << workers;
     EXPECT_EQ(cached.cell_lines, fresh.cell_lines) << "workers=" << workers;
     // 6 keys (3 scenarios x 2 seeds), 2 cells each: exactly one bootstrap
@@ -485,23 +488,6 @@ TEST(MatrixLiveCacheEquivalenceTest, CachedBootstrapFaultSetsMatchFreshAtWorkers
     EXPECT_EQ(cached.cache.uncacheable, 4u) << "workers=" << workers;
     EXPECT_EQ(cached.cells_from_cache, 4u) << "workers=" << workers;
   }
-}
-
-TEST(MatrixLiveCacheEquivalenceTest, LegacyClonePathMatchesToo) {
-  // The cache composes with the legacy decode-per-clone path: same fault
-  // bytes whether clones are arena resets or fresh clone_from systems.
-  const MatrixOutput fresh = run_matrix(/*workers=*/1, /*cached=*/false,
-                                        /*prepared_clones=*/false);
-  const MatrixOutput cached = run_matrix(/*workers=*/2, /*cached=*/true,
-                                         /*prepared_clones=*/false);
-  ASSERT_FALSE(fresh.faults.empty());
-  EXPECT_EQ(cached.faults, fresh.faults);
-  EXPECT_EQ(cached.cell_lines, fresh.cell_lines);
-  // And the clone path itself never changes the verdict (cross-receipt
-  // against the prepared-path run in the test above).
-  const MatrixOutput prepared = run_matrix(/*workers=*/1, /*cached=*/false,
-                                           /*prepared_clones=*/true);
-  EXPECT_EQ(fresh.faults, prepared.faults);
 }
 
 TEST(MatrixLiveCacheEquivalenceTest, ExternalCacheServesAcrossRuns) {

@@ -457,7 +457,8 @@ TEST(RibSharingTest, ArenaClonesThatChurnLeaveThePreparedSnapshotUnchanged) {
   std::atomic<std::size_t> diverged{0};
   pool.run_batch(kClones, [&](std::size_t task, std::size_t worker) {
     bool reused = false;
-    core::System* clone = pool.arena(worker).acquire(prototype, *prepared, reused);
+    core::System* clone =
+        pool.arena(worker).acquire(prototype, *prepared, reused).value_or(nullptr);
     if (clone == nullptr) {
       ++failures;
       return;

@@ -1,4 +1,4 @@
-// shard wire form (DSHD v1) receipts: codec round-trips for every message
+// shard wire form (DSHD v2) receipts: codec round-trips for every message
 // kind, canonical-bytes equality (equal values -> equal bytes), framing
 // reassembly under adversarial chunking, and the svc_store-style robustness
 // pass the coordinator stakes its uptime on — EVERY truncated prefix and
@@ -229,6 +229,19 @@ TEST(ShardWire, SpecificCorruptionsYieldSpecificCodes) {
   forged.u64(util::fnv1a(std::span<const std::uint8_t>(body, 1)));
   forged.u8(0x66);
   EXPECT_EQ(decode_message(forged.span()).error().code, "shard.wire.tag");
+}
+
+TEST(ShardWire, V1FrameFailsWithVersionCode) {
+  // v2 dropped a campaign-spec flag, so a v1 job's payload no longer lines
+  // up field for field: a v1 peer must be refused at the version byte,
+  // before any payload parse, even when its checksum is intact.
+  static_assert(kVersion == 2);
+  util::Bytes v1 = encode_job(make_job());
+  ASSERT_EQ(v1[4], kVersion);
+  v1[4] = 1;
+  auto decoded = decode_message(v1);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.error().code, "shard.wire.version");
 }
 
 TEST(ShardWire, FrameBufferReassemblesByteAtATime) {

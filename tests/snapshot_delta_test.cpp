@@ -5,8 +5,8 @@
 // nodes; (3) the committed topology27 fault-set hash 63f680b04458c2a9 is
 // byte-identical on the full and delta paths at workers 1, 2, 4 and 8;
 // (4) a delta stream against a missing or wrong baseline fails with the
-// stable codes, never a silent wrong restore; (5) legacy fixed-width
-// streams (pre-v2 captures) still parse.
+// stable codes, never a silent wrong restore; (5) streams in the retired
+// fixed-width format are refused by both engines with one typed code.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -153,6 +153,12 @@ TEST(SnapshotDeltaTest, MissingOrWrongBaselineIsRejectedNotMisrestored) {
   auto no_baseline = PreparedSnapshot::build(*raw, resolver, nullptr);
   ASSERT_FALSE(no_baseline.ok());
   EXPECT_EQ(no_baseline.error().code, "prepared.delta.baseline_mismatch");
+  // The raw restore builds exactly that baseline-less form, so it refuses
+  // the delta cut the same way.
+  System fresh(system.blueprint());
+  const util::Status raw_restore = fresh.reset_from_raw(*raw);
+  ASSERT_FALSE(raw_restore.ok());
+  EXPECT_EQ(raw_restore.error().code, "prepared.delta.baseline_mismatch");
 
   // A baseline with the wrong id (the delta snapshot itself, prepared).
   const auto wrong = system.prepare_snapshot(second);
@@ -170,19 +176,25 @@ TEST(SnapshotDeltaTest, MissingOrWrongBaselineIsRejectedNotMisrestored) {
   EXPECT_EQ(direct.error().code, "router.restore.delta_unresolved");
 }
 
-TEST(SnapshotDeltaTest, LegacyFixedWidthStreamStillParses) {
-  // A pre-v2 capture of an empty router: u32 session count, u32 adj-in
-  // count, legacy Loc-RIB (u32 route count), u32 adj-out count, u32 flip
-  // count — all zero. First byte 0x00 routes to the legacy decoder.
-  System system(make_internet({2, 3, 4}));
-  const util::Bytes legacy(20, 0x00);
-  util::ByteReader reader(legacy);
-  auto decoded = system.router(0).parse(reader);
-  ASSERT_TRUE(decoded.ok()) << decoded.error().to_string();
-  EXPECT_EQ(reader.remaining(), 0u);
-  auto status = system.router(0).apply(*decoded.value());
-  EXPECT_TRUE(status.ok()) << status.error().to_string();
-  EXPECT_EQ(system.router(0).loc_rib().size(), 0u);
+TEST(SnapshotDeltaTest, RetiredFixedWidthStreamIsRefusedByBothEngines) {
+  // The retired fixed-width format began with 0x00 (high byte of a u32
+  // session count); 0x01 was never assigned. Both engines refuse either
+  // first byte with the same typed code instead of guessing a layout.
+  bgp::SystemBlueprint blueprint = make_internet({2, 3, 4});
+  blueprint.set_implementation(1, "fsm");
+  System system(std::move(blueprint));
+  ASSERT_EQ(system.router(0).implementation_id(), "bgp");
+  ASSERT_EQ(system.router(1).implementation_id(), "fsm");
+  for (const std::uint8_t head : {std::uint8_t{0x00}, std::uint8_t{0x01}}) {
+    const util::Bytes stream(20, head);
+    for (const sim::NodeId node : {sim::NodeId{0}, sim::NodeId{1}}) {
+      util::ByteReader reader(stream);
+      auto decoded = system.router(node).parse(reader);
+      ASSERT_FALSE(decoded.ok()) << "node " << node << " head " << int{head};
+      EXPECT_EQ(decoded.error().code, "router.restore.unknown_format")
+          << "node " << node << " head " << int{head};
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

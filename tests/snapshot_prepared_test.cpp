@@ -1,8 +1,8 @@
-// PreparedSnapshot and clone-arena reuse: the decode-once/restore-many
-// pipeline must be observationally identical to the legacy decode-per-clone
-// path (same per-node state hashes, same fixpoints, same cut hashes), decode
-// each checkpoint exactly once, and keep prepared state alive through the
-// shared_ptr handle even while the store trims entries concurrently.
+// PreparedSnapshot and clone-arena reuse: a reset must reproduce the cut's
+// per-node checkpoint hashes, agree with a raw-cut restore of a fresh
+// System (same state hashes, same fixpoints), decode each checkpoint
+// exactly once, and keep prepared state alive through the shared_ptr
+// handle even while the store trims entries concurrently.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -56,7 +56,7 @@ TEST(PreparedSnapshotTest, BuildMatchesRawSnapshotAndDecodesOncePerNode) {
   EXPECT_EQ(bgp::checkpoint_decode_count() - decodes_before, raw->nodes.size());
 }
 
-TEST(PreparedSnapshotTest, ResetFromMatchesLegacyCloneExactly) {
+TEST(PreparedSnapshotTest, ResetFromMatchesTheCutAndRawRestore) {
   // Mid-convergence cut: in-flight frames exist, so this exercises both the
   // typed checkpoint application and the pre-built frame schedule.
   auto prototype = std::make_shared<const SystemPrototype>(make_internet({2, 3, 4}));
@@ -68,23 +68,28 @@ TEST(PreparedSnapshotTest, ResetFromMatchesLegacyCloneExactly) {
   ASSERT_NE(prepared, nullptr);
   const Snapshot* raw = live.snapshots().find(id);
 
-  auto legacy = System::clone_from(live.blueprint(), *raw);
-  ASSERT_NE(legacy, nullptr);
+  System raw_clone(live.blueprint());
+  ASSERT_TRUE(raw_clone.reset_from_raw(*raw).ok());
   System arena_clone(prototype);
   ASSERT_TRUE(arena_clone.reset_from(*prepared).ok());
+  for (std::size_t i = 0; i < live.size(); ++i) {
+    const sim::NodeId node = static_cast<sim::NodeId>(i);
+    EXPECT_EQ(arena_clone.router(node).state_hash(), raw->nodes.at(node).hash)
+        << "restore missed the cut at node " << i;
+  }
 
   // Identical immediately after restore...
   for (std::size_t i = 0; i < live.size(); ++i) {
     const sim::NodeId node = static_cast<sim::NodeId>(i);
-    EXPECT_EQ(arena_clone.router(node).state_hash(), legacy->router(node).state_hash())
+    EXPECT_EQ(arena_clone.router(node).state_hash(), raw_clone.router(node).state_hash())
         << "restore diverged at node " << i;
   }
   // ...and after replaying the in-flight frames to quiescence.
-  ASSERT_TRUE(legacy->converge());
+  ASSERT_TRUE(raw_clone.converge());
   ASSERT_TRUE(arena_clone.converge());
   for (std::size_t i = 0; i < live.size(); ++i) {
     const sim::NodeId node = static_cast<sim::NodeId>(i);
-    EXPECT_EQ(arena_clone.router(node).state_hash(), legacy->router(node).state_hash())
+    EXPECT_EQ(arena_clone.router(node).state_hash(), raw_clone.router(node).state_hash())
         << "fixpoint diverged at node " << i;
   }
   // The decoded form restores without touching the byte decoders again.
@@ -116,14 +121,14 @@ TEST(PreparedSnapshotTest, ArenaReuseIsIndistinguishableFromFreshClone) {
 
   explore::CloneArena arena;
   bool reused = false;
-  core::System* first = arena.acquire(prototype, *prepared_a, reused);
+  core::System* first = arena.acquire(prototype, *prepared_a, reused).value_or(nullptr);
   ASSERT_NE(first, nullptr);
   EXPECT_FALSE(reused);
   ASSERT_TRUE(first->converge());
   first->router(0).reset_session(1);  // dirty the arena beyond the snapshot
   first->converge(10'000);
 
-  core::System* second = arena.acquire(prototype, *prepared_b, reused);
+  core::System* second = arena.acquire(prototype, *prepared_b, reused).value_or(nullptr);
   ASSERT_NE(second, nullptr);
   EXPECT_TRUE(reused);
   EXPECT_EQ(second, first);  // same instance, reused
@@ -160,9 +165,9 @@ TEST(PreparedSnapshotTest, ArenaRebuildsWhenPrototypeChanges) {
 
   explore::CloneArena arena;
   bool reused = true;
-  ASSERT_NE(arena.acquire(proto_a, *prep_a, reused), nullptr);
+  ASSERT_NE(arena.acquire(proto_a, *prep_a, reused).value_or(nullptr), nullptr);
   EXPECT_FALSE(reused);
-  core::System* b = arena.acquire(proto_b, *prep_b, reused);
+  core::System* b = arena.acquire(proto_b, *prep_b, reused).value_or(nullptr);
   ASSERT_NE(b, nullptr);
   EXPECT_FALSE(reused);  // different prototype => rebuild
   EXPECT_EQ(b->size(), 3u);

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "dice/system.hpp"
 
 namespace dice::snapshot {
@@ -9,6 +11,15 @@ using bgp::make_internet;
 using bgp::make_line;
 using bgp::node_prefix;
 using core::System;
+
+// A fresh System of `blueprint` re-seeded from the raw cut `snap`; nullptr
+// when the restore fails.
+[[nodiscard]] std::unique_ptr<System> restore(const bgp::SystemBlueprint& blueprint,
+                                              const Snapshot& snap) {
+  auto clone = std::make_unique<System>(blueprint);
+  if (!clone->reset_from_raw(snap)) return nullptr;
+  return clone;
+}
 
 TEST(SnapshotTest, ConvergedSystemSnapshotIsCompleteAndQuiet) {
   System system(make_line(3));
@@ -49,7 +60,7 @@ TEST(SnapshotTest, CloneMatchesLiveStateExactly) {
   ASSERT_NE(id, 0u);
   const Snapshot* snap = system.snapshots().find(id);
 
-  auto clone = System::clone_from(system.blueprint(), *snap);
+  auto clone = restore(system.blueprint(), *snap);
   ASSERT_NE(clone, nullptr);
   // Clone converges instantly (nothing in flight) to the exact live state.
   ASSERT_TRUE(clone->converge());
@@ -74,7 +85,7 @@ TEST(SnapshotTest, MidConvergenceSnapshotCapturesInFlightAndCloneCatchesUp) {
   const Snapshot* snap = system.snapshots().find(id);
   ASSERT_NE(snap, nullptr);
 
-  auto clone = System::clone_from(system.blueprint(), *snap);
+  auto clone = restore(system.blueprint(), *snap);
   ASSERT_NE(clone, nullptr);
   ASSERT_TRUE(clone->converge());
   ASSERT_TRUE(system.converge());
@@ -91,7 +102,7 @@ TEST(SnapshotTest, CloneIsIsolatedFromLive) {
   system.start();
   ASSERT_TRUE(system.converge());
   const SnapshotId id = system.take_snapshot(0);
-  auto clone = System::clone_from(system.blueprint(), *system.snapshots().find(id));
+  auto clone = restore(system.blueprint(), *system.snapshots().find(id));
   ASSERT_NE(clone, nullptr);
 
   // Perturb the clone: kill a session. The live system must not notice.
@@ -131,8 +142,8 @@ TEST(SnapshotTest, TwoClonesOfOneSnapshotAreIdentical) {
   ASSERT_NE(id, 0u);
   const Snapshot* snap = system.snapshots().find(id);
 
-  auto clone_a = System::clone_from(system.blueprint(), *snap);
-  auto clone_b = System::clone_from(system.blueprint(), *snap);
+  auto clone_a = restore(system.blueprint(), *snap);
+  auto clone_b = restore(system.blueprint(), *snap);
   ASSERT_NE(clone_a, nullptr);
   ASSERT_NE(clone_b, nullptr);
   ASSERT_TRUE(clone_a->converge());
@@ -151,14 +162,13 @@ TEST(SnapshotTest, CloneOfCloneMatchesOriginal) {
   system.start();
   ASSERT_TRUE(system.converge());
   const SnapshotId first = system.take_snapshot(0);
-  auto clone = System::clone_from(system.blueprint(), *system.snapshots().find(first));
+  auto clone = restore(system.blueprint(), *system.snapshots().find(first));
   ASSERT_NE(clone, nullptr);
   ASSERT_TRUE(clone->converge());
 
   const SnapshotId second = clone->take_snapshot(1);
   ASSERT_NE(second, 0u);
-  auto grandclone =
-      System::clone_from(clone->blueprint(), *clone->snapshots().find(second));
+  auto grandclone = restore(clone->blueprint(), *clone->snapshots().find(second));
   ASSERT_NE(grandclone, nullptr);
   ASSERT_TRUE(grandclone->converge());
   for (std::size_t i = 0; i < system.size(); ++i) {
