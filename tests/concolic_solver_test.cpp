@@ -1,7 +1,14 @@
 #include <gtest/gtest.h>
 
+#include "bgp/bugs.hpp"
+#include "bgp/sym_update.hpp"
+#include "bgp/topology.hpp"
+#include "concolic/engine.hpp"
 #include "concolic/solver.hpp"
 #include "concolic/sym.hpp"
+#include "fuzz/bgp_grammar.hpp"
+#include "util/hash.hpp"
+#include "util/strings.hpp"
 
 namespace dice::concolic {
 namespace {
@@ -206,6 +213,54 @@ TEST(SolverTest, StatsAccumulate) {
   EXPECT_EQ(solver.stats().sat, 2u);
   solver.reset_stats();
   EXPECT_EQ(solver.stats().queries, 0u);
+}
+
+/// Pins the solver's answers end to end: the concolic engine over the
+/// instrumented UPDATE handler of a tier-2 router with all three parser
+/// bugs (the bench_ablation set-up), grammar seeds, 200 executions, no memo.
+/// The hash covers the ordered corpus bytes and every SolverStats counter
+/// that describes *answers* — `evaluations` is deliberately left out, since
+/// it measures work and is meant to fall when the solver gets cheaper.
+TEST(SolverPinTest, EngineCorpusAndAnswersArePinned) {
+  bgp::SystemBlueprint bp = bgp::make_internet({2, 3, 4});
+  bgp::RouterConfig config = bp.configs[3];
+  config.bug_mask = bgp::bugs::kCommunityLength | bgp::bugs::kAsPathZeroSegment |
+                    bgp::bugs::kMedOverflow;
+  bgp::SymHandlerEnv env;
+  env.config = &config;
+  env.neighbor_index = 0;
+
+  EngineOptions options;
+  options.max_executions = 200;
+  options.max_branches_per_exec = 64;
+  options.solver.search_budget = 2500;
+  options.solver.restarts = 2;
+  ConcolicEngine engine([&env](SymCtx& ctx) { (void)bgp::sym_handle_update(ctx, env); },
+                        options);
+  util::Rng rng(11);
+  const fuzz::BgpUpdateGrammar grammar(fuzz::BgpGrammarSeeds::from_config(config),
+                                       /*strict=*/true);
+  for (int i = 0; i < 6; ++i) engine.add_seed(grammar.generate_body(rng));
+
+  const RunResult result = engine.run();
+  std::uint64_t h = util::kFnvOffset;
+  for (const util::Bytes& input : result.corpus) {
+    h = util::hash_mix(h, input.size());
+    h = util::fnv1a(input, h);
+  }
+  const SolverStats& s = result.stats.solver;
+  for (std::uint64_t v : {s.queries, s.sat, s.unsat_or_unknown, s.hint_hits, s.inversion_hits,
+                          s.exhaustive_hits, s.search_hits, s.interval_unsat}) {
+    h = util::hash_mix(h, v);
+  }
+  const std::string pin =
+      util::format("%016llx", static_cast<unsigned long long>(util::hash_finalize(h)));
+  EXPECT_EQ(result.corpus.size(), 200u);
+  EXPECT_EQ(pin, "7599b08827a115a5")
+      << "queries=" << s.queries << " sat=" << s.sat << " unsat=" << s.unsat_or_unknown
+      << " hint=" << s.hint_hits << " inversion=" << s.inversion_hits
+      << " exhaustive=" << s.exhaustive_hits << " search=" << s.search_hits
+      << " interval_unsat=" << s.interval_unsat << " evaluations=" << s.evaluations;
 }
 
 }  // namespace
