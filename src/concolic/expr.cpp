@@ -203,8 +203,11 @@ std::uint64_t ExprPool::eval(ExprRef ref, std::span<const std::uint8_t> input) c
     eval_epoch_.resize(nodes_.size(), 0);
   }
   ++epoch_;
-  // Iterative post-order to avoid deep recursion on long concat chains.
-  std::vector<ExprRef> stack{ref};
+  // Iterative post-order to avoid deep recursion on long concat chains;
+  // the stack is a member so a call allocates nothing once it has grown.
+  std::vector<ExprRef>& stack = eval_stack_;
+  stack.clear();
+  stack.push_back(ref);
   while (!stack.empty()) {
     const ExprRef cur = stack.back();
     if (eval_epoch_[cur] == epoch_) {

@@ -109,9 +109,13 @@ class ExprPool {
 
   std::vector<ExprNode> nodes_;
   std::unordered_map<NodeKey, ExprRef, NodeKeyHash> interned_;
+  // eval() scratch: a node is cached for the current call iff its epoch
+  // equals epoch_. 64 bits, because a wrapped 32-bit epoch would read
+  // never-evaluated nodes (epoch 0) as cached zeros after 2^32 calls.
   mutable std::vector<std::uint64_t> eval_cache_;
-  mutable std::vector<std::uint32_t> eval_epoch_;
-  mutable std::uint32_t epoch_ = 0;
+  mutable std::vector<std::uint64_t> eval_epoch_;
+  mutable std::uint64_t epoch_ = 0;
+  mutable std::vector<ExprRef> eval_stack_;
 };
 
 }  // namespace dice::concolic

@@ -218,43 +218,107 @@ std::optional<util::Bytes> Solver::solve(const ExprPool& pool,
   return result;
 }
 
+/// Everything one query needs to know about its constraints, computed once
+/// per solve_impl call. A candidate only ever differs from the hint in the
+/// involved bytes, so a constraint over none of them (a *fixed* one) keeps
+/// its hint truth value and branch distance under every candidate — KLEE's
+/// constraint independence. Candidates re-evaluate only the live slice.
+struct Solver::QueryPlan {
+  std::span<const Constraint> constraints;
+  std::vector<std::vector<std::uint32_t>> syms;  ///< per constraint, sorted
+  std::vector<bool> holds;                       ///< per constraint, at the hint
+  std::size_t failing = 0;                       ///< constraints false at the hint
+  /// Sorted bytes the failing constraints read, minus those at or beyond
+  /// the hint's end (they read as zero and cannot be assigned).
+  std::vector<std::uint32_t> involved;
+  bool truncated = false;  ///< some failing constraint read past the hint
+  std::unordered_map<std::uint32_t, ByteInterval> intervals;
+  std::vector<std::uint32_t> live;  ///< constraints reading an involved byte, in order
+
+  std::vector<std::uint32_t> fixed;  ///< the other constraints, in order
+  bool fixed_false = false;          ///< a fixed constraint fails: no candidate helps
+
+  /// True when constraint `k` reads any of the sorted `bytes`.
+  [[nodiscard]] bool reads_any(std::uint32_t k, std::span<const std::uint32_t> bytes) const {
+    return std::any_of(syms[k].begin(), syms[k].end(), [&](std::uint32_t b) {
+      return std::binary_search(bytes.begin(), bytes.end(), b);
+    });
+  }
+
+  /// Indices, in order, of the constraints reading any of the sorted `bytes`.
+  [[nodiscard]] std::vector<std::uint32_t> slice(std::span<const std::uint32_t> bytes) const {
+    std::vector<std::uint32_t> out;
+    for (std::uint32_t k = 0; k < syms.size(); ++k) {
+      if (reads_any(k, bytes)) out.push_back(k);
+    }
+    return out;
+  }
+
+  /// The interval-feasible values of `byte` (necessary for any model).
+  [[nodiscard]] ByteInterval box(std::uint32_t byte) const {
+    const auto it = intervals.find(byte);
+    return it == intervals.end() ? ByteInterval{} : it->second;
+  }
+};
+
+Solver::QueryPlan Solver::plan_query(const ExprPool& pool,
+                                     std::span<const Constraint> constraints,
+                                     const util::Bytes& hint) {
+  QueryPlan plan;
+  plan.constraints = constraints;
+  plan.syms.reserve(constraints.size());
+  plan.holds.reserve(constraints.size());
+  std::unordered_set<std::uint32_t> scratch;
+  for (const Constraint& c : constraints) {
+    scratch.clear();
+    pool.collect_syms(c.cond, scratch);
+    std::vector<std::uint32_t>& syms = plan.syms.emplace_back(scratch.begin(), scratch.end());
+    std::sort(syms.begin(), syms.end());
+    ++stats_.evaluations;
+    const bool holds = (pool.eval(c.cond, hint) != 0) == c.require;
+    plan.holds.push_back(holds);
+    if (!holds) ++plan.failing;
+  }
+  return plan;
+}
+
 std::optional<util::Bytes> Solver::solve_impl(const ExprPool& pool,
                                               std::span<const Constraint> constraints,
                                               const util::Bytes& hint, bool& definitive) {
   definitive = false;
+  QueryPlan plan = plan_query(pool, constraints, hint);
 
-  if (satisfied(pool, constraints, hint)) {
+  if (plan.failing == 0) {
     ++stats_.sat;
     ++stats_.hint_hits;
     return hint;
   }
 
   if (options_.enable_inversion) {
-    if (auto direct = try_inversion(pool, constraints, hint)) {
+    if (auto direct = try_inversion(pool, plan, hint)) {
       ++stats_.sat;
       ++stats_.inversion_hits;
       return direct;
     }
   }
 
-  // Determine which input bytes the *unsatisfied* constraints depend on;
-  // only those need to change (the rest already satisfy their conjuncts,
-  // though mutations may break them — full verification guards that).
-  std::unordered_set<std::uint32_t> involved_set;
-  for (const Constraint& c : constraints) {
-    const bool holds = (pool.eval(c.cond, hint) != 0) == c.require;
-    ++stats_.evaluations;
-    if (!holds) pool.collect_syms(c.cond, involved_set);
+  // Only the bytes the *unsatisfied* constraints depend on need to change
+  // (the rest already satisfy their conjuncts, though mutations may break
+  // them — the live slice re-checks exactly those).
+  for (std::size_t k = 0; k < constraints.size(); ++k) {
+    if (!plan.holds[k]) plan.involved.insert(plan.involved.end(), plan.syms[k].begin(),
+                                             plan.syms[k].end());
   }
-  std::vector<std::uint32_t> involved(involved_set.begin(), involved_set.end());
-  std::sort(involved.begin(), involved.end());
+  std::sort(plan.involved.begin(), plan.involved.end());
+  plan.involved.erase(std::unique(plan.involved.begin(), plan.involved.end()),
+                      plan.involved.end());
   // Bytes beyond the hint length read as zero and cannot be assigned. A
   // longer hint could still reach them, so length-truncated failures are
   // never definitive (memoizable) UNSAT proofs.
-  const std::size_t involved_before_truncation = involved.size();
-  std::erase_if(involved, [&](std::uint32_t i) { return i >= hint.size(); });
-  const bool truncated = involved.size() != involved_before_truncation;
-  if (involved.empty()) {
+  const std::size_t involved_before_truncation = plan.involved.size();
+  std::erase_if(plan.involved, [&](std::uint32_t i) { return i >= hint.size(); });
+  plan.truncated = plan.involved.size() != involved_before_truncation;
+  if (plan.involved.empty()) {
     ++stats_.unsat_or_unknown;
     return std::nullopt;
   }
@@ -262,16 +326,24 @@ std::optional<util::Bytes> Solver::solve_impl(const ExprPool& pool,
   // Interval pre-pass: each derived bound is a necessary condition, so an
   // empty intersection proves the conjunction unsatisfiable without any
   // candidate evaluation — for every assignment, of any length.
-  std::unordered_map<std::uint32_t, ByteInterval> intervals;
-  if (!propagate_intervals(pool, constraints, intervals)) {
+  if (!propagate_intervals(pool, constraints, plan.intervals)) {
     ++stats_.interval_unsat;
     ++stats_.unsat_or_unknown;
     definitive = true;
     return std::nullopt;
   }
 
-  if (options_.enable_exhaustive && involved.size() <= options_.max_exhaustive_bytes) {
-    if (auto found = try_exhaustive(pool, constraints, hint, involved)) {
+  for (std::uint32_t k = 0; k < constraints.size(); ++k) {
+    if (plan.reads_any(k, plan.involved)) {
+      plan.live.push_back(k);
+    } else {
+      plan.fixed.push_back(k);
+      plan.fixed_false = plan.fixed_false || !plan.holds[k];
+    }
+  }
+
+  if (options_.enable_exhaustive && plan.involved.size() <= kMaxExhaustiveBytes) {
+    if (auto found = try_exhaustive(pool, plan, hint)) {
       ++stats_.sat;
       ++stats_.exhaustive_hits;
       return found;
@@ -283,19 +355,19 @@ std::optional<util::Bytes> Solver::solve_impl(const ExprPool& pool,
     // on nothing but the enumerated bytes — a currently-satisfied
     // constraint over an un-enumerated byte could flip under a different
     // assignment and open a solution this enumeration never visited.
-    if (!truncated) {
-      std::unordered_set<std::uint32_t> all_syms;
-      for (const Constraint& c : constraints) pool.collect_syms(c.cond, all_syms);
+    if (!plan.truncated) {
       const auto enumerated = [&](std::uint32_t sym) {
-        return std::binary_search(involved.begin(), involved.end(), sym);
+        return std::binary_search(plan.involved.begin(), plan.involved.end(), sym);
       };
-      definitive = std::all_of(all_syms.begin(), all_syms.end(), enumerated);
+      definitive = std::all_of(plan.syms.begin(), plan.syms.end(), [&](const auto& syms) {
+        return std::all_of(syms.begin(), syms.end(), enumerated);
+      });
     }
     return std::nullopt;
   }
 
   if (options_.enable_search) {
-    if (auto found = try_search(pool, constraints, hint, involved)) {
+    if (auto found = try_search(pool, plan, hint)) {
       ++stats_.sat;
       ++stats_.search_hits;
       return found;
@@ -305,9 +377,10 @@ std::optional<util::Bytes> Solver::solve_impl(const ExprPool& pool,
   return std::nullopt;
 }
 
-bool Solver::satisfied(const ExprPool& pool, std::span<const Constraint> constraints,
-                       const util::Bytes& candidate) {
-  for (const Constraint& c : constraints) {
+bool Solver::satisfied(const ExprPool& pool, const QueryPlan& plan,
+                       std::span<const std::uint32_t> slice, const util::Bytes& candidate) {
+  for (std::uint32_t k : slice) {
+    const Constraint& c = plan.constraints[k];
     ++stats_.evaluations;
     if ((pool.eval(c.cond, candidate) != 0) != c.require) return false;
   }
@@ -367,120 +440,122 @@ double Solver::distance(const ExprPool& pool, const Constraint& c,
   }
 }
 
-double Solver::total_distance(const ExprPool& pool, std::span<const Constraint> constraints,
-                              const util::Bytes& candidate) {
-  double total = 0.0;
-  for (const Constraint& c : constraints) {
+double Solver::total_distance(const ExprPool& pool, const QueryPlan& plan,
+                              std::vector<double>& terms, const util::Bytes& candidate) {
+  for (std::uint32_t k : plan.live) {
     // log1p keeps one huge conjunct from drowning progress on the others.
-    total += std::log1p(distance(pool, c, candidate));
+    terms[k] = std::log1p(distance(pool, plan.constraints[k], candidate));
   }
+  // Summed in constraint order, fixed terms included, so the total is the
+  // same double a whole-conjunction walk would produce.
+  double total = 0.0;
+  for (double term : terms) total += term;
   return total;
 }
 
-std::optional<util::Bytes> Solver::try_inversion(const ExprPool& pool,
-                                                 std::span<const Constraint> constraints,
+std::optional<util::Bytes> Solver::try_inversion(const ExprPool& pool, const QueryPlan& plan,
                                                  const util::Bytes& hint) {
   // Fast path: exactly one failing constraint of shape byte-expr ⊕ const
   // where the byte expression is a bare (possibly zero-extended) input byte.
-  const Constraint* failing = nullptr;
-  for (const Constraint& c : constraints) {
-    ++stats_.evaluations;
-    if ((pool.eval(c.cond, hint) != 0) != c.require) {
-      if (failing != nullptr) return std::nullopt;  // more than one failing
-      failing = &c;
-    }
-  }
-  if (failing == nullptr) return std::nullopt;
+  if (plan.failing != 1) return std::nullopt;
+  const auto failing_at = std::find(plan.holds.begin(), plan.holds.end(), false);
+  const Constraint& failing = plan.constraints[static_cast<std::size_t>(
+      std::distance(plan.holds.begin(), failing_at))];
 
-  const ExprNode& n = pool.node(failing->cond);
+  const ExprNode& n = pool.node(failing.cond);
   if (n.op != Op::kEq && n.op != Op::kNe) return std::nullopt;
 
-  const auto as_bare_sym = [&](ExprRef ref) -> std::optional<std::uint32_t> {
-    const ExprNode* cur = &pool.node(ref);
-    while (cur->op == Op::kZext || cur->op == Op::kTrunc) cur = &pool.node(cur->a);
-    if (cur->op == Op::kSym) return static_cast<std::uint32_t>(cur->value);
-    return std::nullopt;
-  };
-  const auto as_const = [&](ExprRef ref) -> std::optional<std::uint64_t> {
-    const ExprNode& cn = pool.node(ref);
-    if (cn.op == Op::kConst) return cn.value;
-    return std::nullopt;
-  };
-
-  std::optional<std::uint32_t> sym = as_bare_sym(n.a);
-  std::optional<std::uint64_t> cst = as_const(n.b);
+  std::optional<std::uint32_t> sym = as_bare_sym_byte(pool, n.a);
+  std::optional<std::uint64_t> cst = as_constant(pool, n.b);
   if (!sym || !cst) {
-    sym = as_bare_sym(n.b);
-    cst = as_const(n.a);
+    sym = as_bare_sym_byte(pool, n.b);
+    cst = as_constant(pool, n.a);
   }
   if (!sym || !cst || *sym >= hint.size() || *cst > 0xff) return std::nullopt;
 
   util::Bytes candidate = hint;
-  const bool want_equal = (n.op == Op::kEq) == failing->require;
+  const bool want_equal = (n.op == Op::kEq) == failing.require;
   if (want_equal) {
     candidate[*sym] = static_cast<std::uint8_t>(*cst);
   } else {
     candidate[*sym] = static_cast<std::uint8_t>((*cst + 1) & 0xff);
   }
-  if (satisfied(pool, constraints, candidate)) return candidate;
+  // Every other constraint holds at the hint; only those reading the
+  // rewritten byte can change their truth value.
+  const std::uint32_t changed[] = {*sym};
+  if (satisfied(pool, plan, plan.slice(changed), candidate)) return candidate;
   return std::nullopt;
 }
 
-std::optional<util::Bytes> Solver::try_exhaustive(const ExprPool& pool,
-                                                  std::span<const Constraint> constraints,
-                                                  const util::Bytes& hint,
-                                                  const std::vector<std::uint32_t>& involved) {
+std::optional<util::Bytes> Solver::try_exhaustive(const ExprPool& pool, const QueryPlan& plan,
+                                                  const util::Bytes& hint) {
+  // Enumeration never touches a fixed constraint's bytes: one that fails
+  // at the hint fails for every candidate.
+  if (plan.fixed_false) return std::nullopt;
   util::Bytes candidate = hint;
-  if (involved.size() == 1) {
-    const std::uint32_t i = involved[0];
-    // Enumerate only the interval-feasible range for this byte.
-    std::unordered_map<std::uint32_t, ByteInterval> intervals;
-    ByteInterval range;
-    if (propagate_intervals(pool, constraints, intervals)) {
-      if (auto it = intervals.find(i); it != intervals.end()) range = it->second;
-    }
-    for (std::uint32_t v = range.lo; v <= range.hi; ++v) {
+  const std::uint32_t i = plan.involved[0];
+  // Values outside a byte's interval fail some constraint, so skipping
+  // them (in the original order) cannot change the first model found.
+  const ByteInterval bi = plan.box(i);
+  if (plan.involved.size() == 1) {
+    for (std::uint32_t v = bi.lo; v <= bi.hi; ++v) {
       candidate[i] = static_cast<std::uint8_t>(v);
-      if (satisfied(pool, constraints, candidate)) return candidate;
+      if (satisfied(pool, plan, plan.live, candidate)) return candidate;
     }
     return std::nullopt;
   }
   // Two bytes: iterate boundary-biased order first, then the full square.
-  const std::uint32_t i = involved[0];
-  const std::uint32_t j = involved[1];
+  const std::uint32_t j = plan.involved[1];
+  const ByteInterval bj = plan.box(j);
   for (std::uint8_t vi : kInterestingBytes) {
+    if (!bi.contains(vi)) continue;
     for (std::uint8_t vj : kInterestingBytes) {
+      if (!bj.contains(vj)) continue;
       candidate[i] = vi;
       candidate[j] = vj;
-      if (satisfied(pool, constraints, candidate)) return candidate;
+      if (satisfied(pool, plan, plan.live, candidate)) return candidate;
     }
   }
-  for (int vi = 0; vi <= 0xff; ++vi) {
-    for (int vj = 0; vj <= 0xff; ++vj) {
+  for (std::uint32_t vi = bi.lo; vi <= bi.hi; ++vi) {
+    for (std::uint32_t vj = bj.lo; vj <= bj.hi; ++vj) {
       candidate[i] = static_cast<std::uint8_t>(vi);
       candidate[j] = static_cast<std::uint8_t>(vj);
-      if (satisfied(pool, constraints, candidate)) return candidate;
+      if (satisfied(pool, plan, plan.live, candidate)) return candidate;
     }
   }
   return std::nullopt;
 }
 
-std::optional<util::Bytes> Solver::try_search(const ExprPool& pool,
-                                              std::span<const Constraint> constraints,
-                                              const util::Bytes& hint,
-                                              const std::vector<std::uint32_t>& involved) {
+std::optional<util::Bytes> Solver::try_search(const ExprPool& pool, const QueryPlan& plan,
+                                              const util::Bytes& hint) {
+  const std::vector<std::uint32_t>& involved = plan.involved;
+  // With a fixed constraint false no candidate can succeed, but the search
+  // still makes every draw a full run makes: later queries on this solver
+  // see the same RNG stream either way.
+  const bool hopeless = plan.fixed_false;
+  // Fixed constraints contribute their hint distance under every candidate.
+  std::vector<double> terms(plan.constraints.size(), 0.0);
+  if (!hopeless) {
+    for (std::uint32_t k : plan.fixed) {
+      terms[k] = std::log1p(distance(pool, plan.constraints[k], hint));
+    }
+  }
   const std::uint32_t per_restart = options_.search_budget / std::max(1U, options_.restarts);
+  util::Bytes candidate;
   for (std::uint32_t restart = 0; restart < options_.restarts; ++restart) {
     util::Bytes current = hint;
     if (restart > 0) {
       // Later restarts scramble the involved bytes to escape local minima.
       for (std::uint32_t i : involved) current[i] = rng_.byte();
     }
-    double best = total_distance(pool, constraints, current);
-    if (best == 0.0 && satisfied(pool, constraints, current)) return current;
+    double best = 0.0;
+    if (!hopeless) {
+      best = total_distance(pool, plan, terms, current);
+      if (best == 0.0 && satisfied(pool, plan, plan.live, current)) return current;
+    }
 
     for (std::uint32_t step = 0; step < per_restart; ++step) {
-      util::Bytes candidate = current;
+      candidate = current;
       const std::uint32_t idx = involved[rng_.below(involved.size())];
       switch (rng_.below(4)) {
         case 0:
@@ -502,11 +577,12 @@ std::optional<util::Bytes> Solver::try_search(const ExprPool& pool,
           break;
         }
       }
-      const double d = total_distance(pool, constraints, candidate);
+      if (hopeless) continue;
+      const double d = total_distance(pool, plan, terms, candidate);
       if (d <= best) {  // accept sideways moves: plateaus are common
         best = d;
-        current = std::move(candidate);
-        if (best == 0.0 && satisfied(pool, constraints, current)) return current;
+        current.swap(candidate);
+        if (best == 0.0 && satisfied(pool, plan, plan.live, current)) return current;
       }
     }
   }

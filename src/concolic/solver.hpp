@@ -8,13 +8,24 @@
 // Strategy, cheapest first:
 //   1. verify the hint (the negated branch may already hold);
 //   2. direct inversion for single-byte equalities/inequalities;
-//   3. exhaustive enumeration when <=2 input bytes are involved;
-//   4. branch-distance-guided stochastic local search (search-based testing
+//   3. slicing: the bytes the failing constraints read are the only ones a
+//      candidate changes, so constraints over none of them (fixed ones)
+//      keep their hint value and distance and are evaluated once per query,
+//      and a fixed constraint false at the hint fails every candidate
+//      (KLEE-style constraint independence);
+//   4. interval propagation: single-byte comparisons against constants give
+//      each byte a feasible box; an empty box proves UNSAT outright;
+//   5. exhaustive enumeration when <=2 input bytes are involved, over each
+//      byte's box only, in a fixed order (the first model is the same as
+//      over the full square);
+//   6. branch-distance-guided stochastic local search (search-based testing
 //      style) over the involved bytes, with random restarts.
-// Every candidate is verified by concrete evaluation before being returned,
-// so the solver is sound by construction (it can only be incomplete).
+// Every candidate is verified by concrete evaluation of the live slice
+// before being returned (every other constraint holds at the hint), so the
+// solver is sound by construction (it can only be incomplete).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -33,11 +44,14 @@ struct Constraint {
   bool require = true;
 };
 
+/// Queries involving at most this many bytes are enumerated (256^k
+/// assignments); wider ones go to local search.
+inline constexpr std::size_t kMaxExhaustiveBytes = 2;
+
 struct SolverOptions {
-  std::uint32_t max_exhaustive_bytes = 2;  ///< enumerate up to 256^k assignments
-  std::uint32_t search_budget = 6000;      ///< local-search candidate evaluations
-  std::uint32_t restarts = 4;              ///< random restarts for local search
-  std::uint64_t seed = 0x50151ca5;         ///< deterministic search stream
+  std::uint32_t search_budget = 6000;  ///< local-search candidate evaluations
+  std::uint32_t restarts = 4;          ///< random restarts for local search
+  std::uint64_t seed = 0x50151ca5;     ///< deterministic search stream
   // Stage toggles (ablation knobs; production keeps all enabled).
   bool enable_inversion = true;
   bool enable_exhaustive = true;
@@ -86,6 +100,7 @@ struct ByteInterval {
   std::uint32_t lo = 0;
   std::uint32_t hi = 255;
   [[nodiscard]] bool empty() const noexcept { return lo > hi; }
+  [[nodiscard]] bool contains(std::uint32_t v) const noexcept { return lo <= v && v <= hi; }
 };
 
 class Solver {
@@ -107,30 +122,41 @@ class Solver {
   void reset_stats() noexcept { stats_ = SolverStats{}; }
 
  private:
+  struct QueryPlan;  // per-query constraint facts (solver.cpp)
+
   /// The uncached pipeline. `definitive` is set when a nullopt result is a
   /// proof of unsatisfiability (safe to memoize) rather than a give-up.
   [[nodiscard]] std::optional<util::Bytes> solve_impl(const ExprPool& pool,
                                                       std::span<const Constraint> constraints,
                                                       const util::Bytes& hint,
                                                       bool& definitive);
-  [[nodiscard]] bool satisfied(const ExprPool& pool, std::span<const Constraint> constraints,
+  /// Evaluates every constraint once at the hint and collects its bytes.
+  [[nodiscard]] QueryPlan plan_query(const ExprPool& pool,
+                                     std::span<const Constraint> constraints,
+                                     const util::Bytes& hint);
+  /// True when every constraint in `slice` (indices into the plan) holds at
+  /// `candidate`. Callers pass the constraints reading the bytes the
+  /// candidate changed; every other one holds at the hint.
+  [[nodiscard]] bool satisfied(const ExprPool& pool, const QueryPlan& plan,
+                               std::span<const std::uint32_t> slice,
                                const util::Bytes& candidate);
   /// Branch distance of one constraint: 0 iff satisfied; smaller is closer.
   [[nodiscard]] double distance(const ExprPool& pool, const Constraint& c,
                                 const util::Bytes& candidate);
-  [[nodiscard]] double total_distance(const ExprPool& pool,
-                                      std::span<const Constraint> constraints,
+  /// Sum of log1p(distance) over the conjunction: recomputes the live
+  /// constraints' entries of `terms` (fixed entries are precomputed).
+  [[nodiscard]] double total_distance(const ExprPool& pool, const QueryPlan& plan,
+                                      std::vector<double>& terms,
                                       const util::Bytes& candidate);
   [[nodiscard]] std::optional<util::Bytes> try_inversion(const ExprPool& pool,
-                                                         std::span<const Constraint> constraints,
+                                                         const QueryPlan& plan,
                                                          const util::Bytes& hint);
-  [[nodiscard]] std::optional<util::Bytes> try_exhaustive(
-      const ExprPool& pool, std::span<const Constraint> constraints, const util::Bytes& hint,
-      const std::vector<std::uint32_t>& involved);
+  [[nodiscard]] std::optional<util::Bytes> try_exhaustive(const ExprPool& pool,
+                                                          const QueryPlan& plan,
+                                                          const util::Bytes& hint);
   [[nodiscard]] std::optional<util::Bytes> try_search(const ExprPool& pool,
-                                                      std::span<const Constraint> constraints,
-                                                      const util::Bytes& hint,
-                                                      const std::vector<std::uint32_t>& involved);
+                                                      const QueryPlan& plan,
+                                                      const util::Bytes& hint);
   /// Derives per-byte intervals from single-byte constraints; returns
   /// false when some byte's interval is empty (conjunction unsat).
   [[nodiscard]] bool propagate_intervals(

@@ -1,5 +1,8 @@
 #include "dice/inputs.hpp"
 
+#include "obs/metrics.hpp"
+#include "obs/names.hpp"
+
 namespace dice::core {
 
 // ---------------------------------------------------------------------------
@@ -35,6 +38,7 @@ void ConcolicStrategy::on_episode(const System& live, sim::NodeId explorer) {
       [this](concolic::SymCtx& ctx) { (void)bgp::sym_handle_update(ctx, env_); },
       options_.engine);
   engine_->set_solver_memo(options_.solver_memo);
+  published_solver_ = concolic::SolverStats{};
 
   // Seeds are strictly valid protocol messages (paper: DiCE "reuses
   // existing protocol messages to the extent possible"); everything
@@ -57,6 +61,16 @@ std::vector<util::Bytes> ConcolicStrategy::next_batch(std::size_t n) {
   total_stats_.generated += result.stats.generated;
   total_stats_.crashes += result.stats.crashes;
   for (concolic::CrashInfo& crash : result.crashes) crashes_.push_back(std::move(crash));
+  // The engine's solver stats are cumulative over its episode; publish
+  // this batch's share once instead of touching a counter per query.
+  static obs::Counter& queries =
+      obs::MetricsRegistry::global().counter(obs::names::kSolverQueries);
+  static obs::Counter& evaluations =
+      obs::MetricsRegistry::global().counter(obs::names::kSolverEvaluations);
+  const concolic::SolverStats& solver = result.stats.solver;
+  queries.add(solver.queries - published_solver_.queries);
+  evaluations.add(solver.evaluations - published_solver_.evaluations);
+  published_solver_ = solver;
   std::vector<util::Bytes> batch = std::move(result.corpus);
   if (batch.size() > n) batch.resize(n);
   return batch;

@@ -73,6 +73,7 @@ class ConcolicStrategy final : public InputStrategy {
   bgp::SymHandlerEnv env_;
   std::unique_ptr<concolic::ConcolicEngine> engine_;
   concolic::EngineStats total_stats_;
+  concolic::SolverStats published_solver_;  ///< this episode's engine, as last published
   std::vector<concolic::CrashInfo> crashes_;
 };
 

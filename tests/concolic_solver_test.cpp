@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "bgp/bugs.hpp"
 #include "bgp/sym_update.hpp"
 #include "bgp/topology.hpp"
@@ -213,6 +215,213 @@ TEST(SolverTest, StatsAccumulate) {
   EXPECT_EQ(solver.stats().sat, 2u);
   solver.reset_stats();
   EXPECT_EQ(solver.stats().queries, 0u);
+}
+
+/// A memo that records every store, to check what the solver publishes.
+class RecordingMemo final : public SolverMemo {
+ public:
+  bool lookup(std::uint64_t, std::optional<util::Bytes>&) override { return false; }
+  void store(std::uint64_t, const std::optional<util::Bytes>& result) override {
+    stored.push_back(result);
+  }
+  std::vector<std::optional<util::Bytes>> stored;
+};
+
+/// Evaluations spent on an UNSAT 2-byte negation, (in[0] + in[1]) * 2 == 3
+/// (the left side is always even), behind `prefix_len` path constraints
+/// over other bytes that hold at the hint.
+std::uint64_t unsat_negation_evaluations(std::size_t prefix_len) {
+  Recorded rec(util::Bytes(2 + prefix_len, 7), [&] {
+    for (std::size_t k = 0; k < prefix_len; ++k) (void)branch(input_byte(2 + k) < SymU8{100});
+    (void)branch((input_byte(0) + input_byte(1)) * SymU8{2} == SymU8{3});
+  });
+  rec.constraints.back().require = true;
+  Solver solver;
+  EXPECT_FALSE(solver.solve(rec.ctx.pool(), rec.constraints, rec.ctx.input()).has_value());
+  EXPECT_EQ(solver.stats().exhaustive_hits, 0u);
+  return solver.stats().evaluations;
+}
+
+TEST(SolverTest, EnumerationWorkDoesNotScaleWithPrefixLength) {
+  const std::uint64_t bare = unsat_negation_evaluations(0);
+  const std::uint64_t prefixed = unsat_negation_evaluations(60);
+  EXPECT_GE(bare, 256u * 256u);  // the whole square was enumerated
+  // The prefix cannot change under a candidate: it is evaluated once, at
+  // the hint, instead of once per enumerated assignment.
+  EXPECT_LE(prefixed, bare + 60);
+}
+
+/// Values that frequently flip branch predicates — the solver's boundary
+/// list, repeated so the reference below is independent of it.
+constexpr std::uint8_t kReferenceInteresting[] = {0,   1,   2,   4,   7,   8,   15,
+                                                  16,  24,  31,  32,  63,  64,  100,
+                                                  127, 128, 192, 200, 254, 255};
+
+/// Brute-force 2-byte enumeration: the boundary-biased pass, then the full
+/// square, each candidate checked against the whole conjunction.
+std::optional<util::Bytes> reference_two_byte(const ExprPool& pool,
+                                              std::span<const Constraint> constraints,
+                                              util::Bytes candidate, std::uint32_t i,
+                                              std::uint32_t j) {
+  const auto all_hold = [&] {
+    return std::all_of(constraints.begin(), constraints.end(), [&](const Constraint& c) {
+      return (pool.eval(c.cond, candidate) != 0) == c.require;
+    });
+  };
+  for (std::uint8_t vi : kReferenceInteresting) {
+    for (std::uint8_t vj : kReferenceInteresting) {
+      candidate[i] = vi;
+      candidate[j] = vj;
+      if (all_hold()) return candidate;
+    }
+  }
+  for (int vi = 0; vi <= 0xff; ++vi) {
+    for (int vj = 0; vj <= 0xff; ++vj) {
+      candidate[i] = static_cast<std::uint8_t>(vi);
+      candidate[j] = static_cast<std::uint8_t>(vj);
+      if (all_hold()) return candidate;
+    }
+  }
+  return std::nullopt;
+}
+
+TEST(SolverTest, TwoByteModelMatchesBruteForceReference) {
+  util::Rng rng(2024);
+  std::size_t compared = 0;
+  std::size_t sat = 0;
+  for (int round = 0; round < 60; ++round) {
+    util::Bytes input(6);
+    for (auto& b : input) b = rng.byte();
+    // Narrow random boxes put the first model on a box edge, often past
+    // every boundary value, so the full square decides.
+    const auto box_lo = [&] { return static_cast<std::uint8_t>(rng.below(220)); };
+    const std::uint8_t lo_a = box_lo();
+    const std::uint8_t lo_b = box_lo();
+    const std::uint8_t hi_a = static_cast<std::uint8_t>(lo_a + rng.below(30));
+    const std::uint8_t hi_b = static_cast<std::uint8_t>(lo_b + rng.below(30));
+    const std::uint8_t sum = static_cast<std::uint8_t>(lo_a + lo_b + rng.below(3));
+    const std::uint8_t avoid = static_cast<std::uint8_t>(lo_b + rng.below(2));
+    const std::uint8_t mix = static_cast<std::uint8_t>((input[0] ^ input[2]) + 1);
+    if (static_cast<std::uint8_t>(input[0] + input[1]) == sum) continue;
+    Recorded rec(input, [&] {
+      const SymU8 a = input_byte(0);
+      const SymU8 b = input_byte(1);
+      // Prefix over other bytes, one of them coupled to an enumerated byte.
+      (void)branch(input_byte(3) < SymU8{200});
+      (void)branch((a ^ input_byte(2)) == SymU8{mix});
+      (void)branch(input_byte(4) == SymU8{input[4]});
+      // The negation couples both enumerated bytes; the boxes bound them.
+      (void)branch(a + b == SymU8{sum});
+      (void)branch(a >= SymU8{lo_a});
+      (void)branch(a <= SymU8{hi_a});
+      (void)branch(b >= SymU8{lo_b});
+      (void)branch(b <= SymU8{hi_b});
+      (void)branch(b == SymU8{avoid});
+    });
+    ASSERT_EQ(rec.constraints.size(), 9u);
+    for (std::size_t k = 3; k < 8; ++k) rec.constraints[k].require = true;
+    rec.constraints[8].require = false;
+
+    // Only constraints over bytes 0 and 1 fail at the hint, so the answer
+    // comes from interval propagation or the 2-byte enumeration.
+    Solver solver;
+    const auto solution = solver.solve(rec.ctx.pool(), rec.constraints, input);
+    EXPECT_EQ(solution, reference_two_byte(rec.ctx.pool(), rec.constraints, input, 0, 1))
+        << "round " << round;
+    ++compared;
+    if (solution) ++sat;
+  }
+  EXPECT_GT(compared, 50u);
+  EXPECT_GT(sat, 10u);
+}
+
+TEST(SolverTest, FailureBeyondTheHintIsNeverMemoized) {
+  // in[5] == 9 cannot be met by a 2-byte hint (the byte reads as zero) but
+  // could by a longer one: nullopt, and nothing is published to the memo.
+  Recorded alone({1, 2}, [] { (void)branch(input_byte(5) == SymU8{9}); });
+  alone.constraints[0].require = true;
+  // The same failure beside a failing constraint the solver can work on:
+  // enumeration over byte 0 cannot repair the byte-5 conjunct.
+  Recorded beside({1, 2}, [] {
+    (void)branch(input_byte(0) + input_byte(1) == SymU8{40});
+    (void)branch(input_byte(5) == SymU8{9});
+  });
+  for (Constraint& c : beside.constraints) c.require = true;
+
+  for (const Recorded* rec : {&alone, &beside}) {
+    RecordingMemo memo;
+    Solver solver;
+    solver.set_memo(&memo);
+    EXPECT_FALSE(solver.solve(rec->ctx.pool(), rec->constraints, rec->ctx.input()).has_value());
+    EXPECT_TRUE(memo.stored.empty());
+    EXPECT_EQ(solver.stats().cache_stores, 0u);
+  }
+}
+
+/// Three coupled bytes whose XOR must be both 5 and 6: UNSAT, but no
+/// interval or enumeration can prove it.
+Recorded three_byte_contradiction() {
+  Recorded rec({0, 0, 0}, [] {
+    const SymU8 x = input_byte(0) ^ input_byte(1) ^ input_byte(2);
+    (void)branch(x == SymU8{5});
+    (void)branch(x == SymU8{6});
+  });
+  for (Constraint& c : rec.constraints) c.require = true;
+  return rec;
+}
+
+TEST(SolverTest, ThreeInvolvedBytesGoToSearchAndNeverMemoizeUnsat) {
+  const Recorded rec = three_byte_contradiction();
+  RecordingMemo memo;
+  SolverOptions options;
+  Solver solver(options);
+  solver.set_memo(&memo);
+  EXPECT_FALSE(solver.solve(rec.ctx.pool(), rec.constraints, rec.ctx.input()).has_value());
+  // A search give-up is not a proof: the memo must not learn UNSAT.
+  EXPECT_TRUE(memo.stored.empty());
+  EXPECT_GE(solver.stats().evaluations, options.search_budget);  // the search ran
+
+  // A satisfiable 3-byte query is answered by search, not enumeration.
+  Recorded sat({0, 0, 0}, [] {
+    (void)branch((input_byte(0) ^ input_byte(1) ^ input_byte(2)) == SymU8{5});
+  });
+  sat.constraints[0].require = true;
+  Solver fresh;
+  ASSERT_TRUE(fresh.solve(sat.ctx.pool(), sat.constraints, sat.ctx.input()).has_value());
+  EXPECT_EQ(fresh.stats().search_hits, 1u);
+  EXPECT_EQ(fresh.stats().exhaustive_hits, 0u);
+}
+
+TEST(SolverTest, HopelessSearchKeepsTheRngStream) {
+  // A search that cannot succeed because a constraint over a byte beyond
+  // the hint fails skips its evaluations but must make the same draws as a
+  // full search over as many bytes, so the next query sees the same stream.
+  Recorded hopeless({0, 0, 0}, [] {
+    (void)branch((input_byte(0) ^ input_byte(1) ^ input_byte(2)) == SymU8{5});
+    (void)branch(input_byte(7) == SymU8{9});
+  });
+  for (Constraint& c : hopeless.constraints) c.require = true;
+  const Recorded contradiction = three_byte_contradiction();
+  // Many models, reached by random draws: the answer follows the stream.
+  Recorded next({0, 0, 0}, [] {
+    (void)branch((input_byte(0) ^ input_byte(1) ^ input_byte(2)) == SymU8{0x5a});
+  });
+  next.constraints[0].require = true;
+
+  Solver a;
+  Solver b;
+  EXPECT_FALSE(
+      a.solve(hopeless.ctx.pool(), hopeless.constraints, hopeless.ctx.input()).has_value());
+  EXPECT_FALSE(b.solve(contradiction.ctx.pool(), contradiction.constraints,
+                       contradiction.ctx.input())
+                   .has_value());
+  EXPECT_LT(a.stats().evaluations, b.stats().evaluations);
+  const auto after_a = a.solve(next.ctx.pool(), next.constraints, next.ctx.input());
+  const auto after_b = b.solve(next.ctx.pool(), next.constraints, next.ctx.input());
+  ASSERT_TRUE(after_a.has_value());
+  EXPECT_EQ(after_a, after_b);
+  Solver fresh;
+  EXPECT_NE(fresh.solve(next.ctx.pool(), next.constraints, next.ctx.input()), after_a);
 }
 
 /// Pins the solver's answers end to end: the concolic engine over the

@@ -3,6 +3,8 @@
 
 #include "bgp/codec.hpp"
 #include "dice/inputs.hpp"
+#include "obs/metrics.hpp"
+#include "obs/names.hpp"
 
 namespace dice::core {
 namespace {
@@ -63,6 +65,33 @@ TEST_F(InputsTest, ConcolicStrategyGeneratesAndTracksStats) {
   const auto more = strategy.next_batch(20);
   EXPECT_FALSE(more.empty());
   EXPECT_GT(strategy.stats().executions, batch.size());
+}
+
+TEST_F(InputsTest, SolverCountersMoveOnConcolicEpisodesOnly) {
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
+  const auto solver_work = [&](const obs::MetricsSnapshot& since) {
+    const obs::MetricsSnapshot delta = registry.snapshot().delta_since(since);
+    return std::pair{delta.counter_value(obs::names::kSolverQueries),
+                     delta.counter_value(obs::names::kSolverEvaluations)};
+  };
+
+  const obs::MetricsSnapshot before_grammar = registry.snapshot();
+  GrammarStrategy grammar(/*corruption_rate=*/0.0);
+  grammar.on_episode(system_, 3);
+  (void)grammar.next_batch(20);
+  EXPECT_EQ(solver_work(before_grammar), std::pair(std::uint64_t{0}, std::uint64_t{0}));
+
+  const obs::MetricsSnapshot before_concolic = registry.snapshot();
+  ConcolicStrategy concolic;
+  concolic.on_episode(system_, 3);
+  (void)concolic.next_batch(20);
+  const auto [queries, evaluations] = solver_work(before_concolic);
+  if (obs::kEnabled) {
+    EXPECT_GT(queries, 0u);
+    EXPECT_GE(evaluations, queries);  // no memo: each query evaluates its negated branch
+  } else {
+    EXPECT_EQ(queries, 0u);
+  }
 }
 
 TEST_F(InputsTest, ConcolicStrategyRetargetsPerEpisode) {
