@@ -234,22 +234,16 @@ struct Solver::QueryPlan {
   bool truncated = false;  ///< some failing constraint read past the hint
   std::unordered_map<std::uint32_t, ByteInterval> intervals;
   std::vector<std::uint32_t> live;  ///< constraints reading an involved byte, in order
-
-  std::vector<std::uint32_t> fixed;  ///< the other constraints, in order
-  bool fixed_false = false;          ///< a fixed constraint fails: no candidate helps
-
-  /// True when constraint `k` reads any of the sorted `bytes`.
-  [[nodiscard]] bool reads_any(std::uint32_t k, std::span<const std::uint32_t> bytes) const {
-    return std::any_of(syms[k].begin(), syms[k].end(), [&](std::uint32_t b) {
-      return std::binary_search(bytes.begin(), bytes.end(), b);
-    });
-  }
+  bool fixed_false = false;  ///< a constraint outside `live` fails: no candidate helps
 
   /// Indices, in order, of the constraints reading any of the sorted `bytes`.
   [[nodiscard]] std::vector<std::uint32_t> slice(std::span<const std::uint32_t> bytes) const {
     std::vector<std::uint32_t> out;
     for (std::uint32_t k = 0; k < syms.size(); ++k) {
-      if (reads_any(k, bytes)) out.push_back(k);
+      const auto reads = [&](std::uint32_t b) {
+        return std::binary_search(bytes.begin(), bytes.end(), b);
+      };
+      if (std::any_of(syms[k].begin(), syms[k].end(), reads)) out.push_back(k);
     }
     return out;
   }
@@ -333,14 +327,10 @@ std::optional<util::Bytes> Solver::solve_impl(const ExprPool& pool,
     return std::nullopt;
   }
 
-  for (std::uint32_t k = 0; k < constraints.size(); ++k) {
-    if (plan.reads_any(k, plan.involved)) {
-      plan.live.push_back(k);
-    } else {
-      plan.fixed.push_back(k);
-      plan.fixed_false = plan.fixed_false || !plan.holds[k];
-    }
-  }
+  plan.live = plan.slice(plan.involved);
+  const auto live_failing = std::count_if(plan.live.begin(), plan.live.end(),
+                                          [&](std::uint32_t k) { return !plan.holds[k]; });
+  plan.fixed_false = static_cast<std::size_t>(live_failing) != plan.failing;
 
   if (options_.enable_exhaustive && plan.involved.size() <= kMaxExhaustiveBytes) {
     if (auto found = try_exhaustive(pool, plan, hint)) {
@@ -533,12 +523,12 @@ std::optional<util::Bytes> Solver::try_search(const ExprPool& pool, const QueryP
   // still makes every draw a full run makes: later queries on this solver
   // see the same RNG stream either way.
   const bool hopeless = plan.fixed_false;
-  // Fixed constraints contribute their hint distance under every candidate.
-  std::vector<double> terms(plan.constraints.size(), 0.0);
-  if (!hopeless) {
-    for (std::uint32_t k : plan.fixed) {
-      terms[k] = std::log1p(distance(pool, plan.constraints[k], hint));
-    }
+  // Constraints outside the live slice keep their hint distance under every
+  // candidate; total_distance overwrites the live entries.
+  std::vector<double> terms;
+  terms.reserve(plan.constraints.size());
+  for (const Constraint& c : plan.constraints) {
+    terms.push_back(std::log1p(distance(pool, c, hint)));
   }
   const std::uint32_t per_restart = options_.search_budget / std::max(1U, options_.restarts);
   util::Bytes candidate;
