@@ -11,6 +11,10 @@ namespace dice::concolic {
 
 namespace {
 
+/// Queries involving at most this many bytes are enumerated (256^k
+/// assignments); wider ones go to local search.
+constexpr std::size_t kMaxExhaustiveBytes = 2;
+
 /// Values that frequently flip branch predicates (boundary values).
 constexpr std::uint8_t kInterestingBytes[] = {0, 1, 2, 4, 7, 8, 15, 16, 24, 31, 32,
                                               63, 64, 100, 127, 128, 192, 200, 254, 255};

@@ -25,7 +25,6 @@
 // solver is sound by construction (it can only be incomplete).
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -43,10 +42,6 @@ struct Constraint {
   ExprRef cond = kNullExpr;
   bool require = true;
 };
-
-/// Queries involving at most this many bytes are enumerated (256^k
-/// assignments); wider ones go to local search.
-inline constexpr std::size_t kMaxExhaustiveBytes = 2;
 
 struct SolverOptions {
   std::uint32_t search_budget = 6000;  ///< local-search candidate evaluations

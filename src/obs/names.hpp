@@ -33,7 +33,7 @@ inline constexpr std::string_view kSolverCacheHits = "dice_solver_cache_hits_tot
 inline constexpr std::string_view kSolverCacheMisses = "dice_solver_cache_misses_total";
 inline constexpr std::string_view kSolverCacheStores = "dice_solver_cache_stores_total";
 
-// --- core::ConcolicStrategy (concolic::Solver work, per input batch) ---------
+// --- core::ConcolicStrategy (concolic::Solver work, per batch) -------------
 inline constexpr std::string_view kSolverQueries = "dice_solver_queries_total";
 inline constexpr std::string_view kSolverEvaluations = "dice_solver_evaluations_total";
 
