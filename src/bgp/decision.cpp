@@ -76,15 +76,32 @@ Comparison compare_routes(const Route& a, const Route& b, const DecisionOptions&
   return Comparison{0, DecisionRule::kEqual};
 }
 
-std::size_t select_best(const std::vector<Route>& candidates, const DecisionOptions& options) {
-  if (candidates.empty()) return SIZE_MAX;
+namespace {
+
+/// First strictly preferred candidate wins; `at(i)` yields candidate i.
+template <typename At>
+[[nodiscard]] std::size_t best_index(std::size_t count, At at, const DecisionOptions& options) {
+  if (count == 0) return SIZE_MAX;
   std::size_t best = 0;
-  for (std::size_t i = 1; i < candidates.size(); ++i) {
-    if (compare_routes(candidates[i], candidates[best], options).order < 0) {
-      best = i;
-    }
+  for (std::size_t i = 1; i < count; ++i) {
+    if (compare_routes(at(i), at(best), options).order < 0) best = i;
   }
   return best;
+}
+
+}  // namespace
+
+std::size_t select_best(const std::vector<Route>& candidates, const DecisionOptions& options) {
+  return best_index(
+      candidates.size(), [&](std::size_t i) -> const Route& { return candidates[i]; },
+      options);
+}
+
+std::size_t select_best_of(std::span<const Route* const> candidates,
+                           const DecisionOptions& options) {
+  return best_index(
+      candidates.size(), [&](std::size_t i) -> const Route& { return *candidates[i]; },
+      options);
 }
 
 }  // namespace dice::bgp

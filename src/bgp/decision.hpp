@@ -4,6 +4,7 @@
 // can report *why* a fault-inducing route won.
 #pragma once
 
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -44,5 +45,9 @@ struct Comparison {
 /// Returns the index of the best route, or SIZE_MAX for an empty set.
 [[nodiscard]] std::size_t select_best(const std::vector<Route>& candidates,
                                       const DecisionOptions& options = {});
+/// The same procedure over borrowed candidates (the differential replay
+/// hands RIB entries over without copying them).
+[[nodiscard]] std::size_t select_best_of(std::span<const Route* const> candidates,
+                                         const DecisionOptions& options = {});
 
 }  // namespace dice::bgp

@@ -24,6 +24,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -73,12 +74,13 @@ class NodeImplementation : public snapshot::SnapshotParticipant,
 
   /// One decision-process outcome: the prefix, what the node selected
   /// (nullptr = nothing selected), and the candidate set it chose from.
-  /// Candidates carry the full Route (post import policy) so the checker
-  /// can rerun the reference decision procedure on them.
+  /// Candidates are the full Routes (post import policy), borrowed from the
+  /// node's tables, so the checker can rerun the reference decision
+  /// procedure on them without copying any.
   struct DecisionView {
     util::IpPrefix prefix;
     const Route* selected = nullptr;
-    const std::vector<Route>* candidates = nullptr;
+    std::span<const Route* const> candidates;
   };
 
   /// Stable registry id ("bgp", "fsm", ...). Greppable constants live next
@@ -119,9 +121,35 @@ class NodeImplementation : public snapshot::SnapshotParticipant,
   virtual void for_each_decision(
       const std::function<void(const DecisionView&)>& fn) const = 0;
 
+  /// The checkpoint this node was last apply()'d from, while the node is
+  /// still *clean*: nothing a route-derived check reads (Loc-RIB,
+  /// Adj-RIB-In) has changed since. Flip-counter clears keep a node clean;
+  /// any other state change, reset_for_reuse, or the checkpoint being freed
+  /// makes it dirty (nullptr). A node never restored from a checkpoint (a
+  /// bootstrapped live system) is dirty. The default — always dirty — is
+  /// the safe answer for an engine that does not track its churn.
+  [[nodiscard]] virtual std::shared_ptr<const snapshot::DecodedCheckpoint>
+  clean_checkpoint() const {
+    return nullptr;
+  }
+
  protected:
   [[nodiscard]] snapshot::Checkpointable& checkpointable() override { return *this; }
 };
+
+/// The for_each_decision walk shared by engines that keep the reference
+/// RIB layout: configured networks, per-peer Adj-RIB-In tables, Loc-RIB.
+/// One ordered merge over the already-sorted tables visits every prefix
+/// once, in ascending order; candidates are the locally originated route
+/// (when `prefix` is a configured network) followed by the Adj-RIB-In
+/// entries in peer order — the candidate order of the engines' decision
+/// process — borrowed, not copied.
+void for_each_rib_decision(const RouterConfig& config,
+                           const std::map<sim::NodeId, Rib>& adj_in, const Rib& loc_rib,
+                           const std::function<void(const NodeImplementation::DecisionView&)>& fn);
+
+/// The route a node originates for configured network `prefix`.
+[[nodiscard]] Route local_route(const RouterConfig& config, const util::IpPrefix& prefix);
 
 /// Process-wide factory table, keyed by implementation id. Blueprints name
 /// implementations by id; dice::System resolves them here at construction.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <set>
 #include <span>
 
 #include "bgp/checkpoint_codec.hpp"
@@ -118,6 +117,7 @@ void BgpRouter::deliver_data(sim::NodeId from, const util::Bytes& payload) {
     // real daemon would abort; we model the crash as a session-wide reset
     // and surface it to DiCE's crash checker via handler_crashes.
     ++stats_.handler_crashes;
+    ++state_version_;  // crash recovery resets every session
     logger().warn() << config_.name << ": handler crash: " << crash.what;
     for (auto& [peer, session] : sessions_) {
       session->reset_transport("daemon crash: " + crash.what);
@@ -240,16 +240,7 @@ std::vector<Route> BgpRouter::collect_candidates(const util::IpPrefix& prefix) c
   // Locally originated network?
   if (std::find(config_.networks.begin(), config_.networks.end(), prefix) !=
       config_.networks.end()) {
-    Route local;
-    local.prefix = prefix;
-    local.attrs.origin = Origin::kIgp;
-    local.attrs.next_hop = config_.address;
-    local.source.peer_node = kLocalRoute;
-    local.source.peer_asn = config_.asn;
-    local.source.peer_router_id = config_.router_id;
-    local.source.peer_address = config_.address;
-    local.source.ebgp = false;
-    candidates.push_back(std::move(local));
+    candidates.push_back(local_route(config_, prefix));
   }
   for (const auto& [peer, rib] : adj_in_) {
     if (const Route* route = rib.find(prefix)) candidates.push_back(*route);
@@ -267,21 +258,7 @@ std::size_t BgpRouter::established_session_count() const {
 
 void BgpRouter::for_each_decision(
     const std::function<void(const DecisionView&)>& fn) const {
-  std::set<util::IpPrefix> prefixes;
-  for (const util::IpPrefix& prefix : config_.networks) prefixes.insert(prefix);
-  for (const auto& [peer, rib] : adj_in_) {
-    for (const auto& [prefix, route] : rib.table()) prefixes.insert(prefix);
-  }
-  for (const auto& [prefix, route] : loc_rib_.table()) prefixes.insert(prefix);
-
-  for (const util::IpPrefix& prefix : prefixes) {
-    const std::vector<Route> candidates = collect_candidates(prefix);
-    DecisionView view;
-    view.prefix = prefix;
-    view.selected = loc_rib_.find(prefix);
-    view.candidates = &candidates;
-    fn(view);
-  }
+  for_each_rib_decision(config_, adj_in_, loc_rib_, fn);
 }
 
 void BgpRouter::run_decision(const util::IpPrefix& prefix) {
@@ -512,6 +489,8 @@ util::Status BgpRouter::apply(const snapshot::DecodedCheckpoint& state) {
     best_flips_[prefix] = count;
     max_best_flips_ = std::max(max_best_flips_, count);
   }
+  applied_ = state.weak_from_this();
+  applied_version_ = state_version_;
   return util::Status::success();
 }
 
@@ -528,6 +507,7 @@ void BgpRouter::reset_for_reuse() {
   restart_delay_ = sim::kSecond;
   ++state_version_;
   last_checkpoint_ = {};  // arena reuse crosses snapshot lineages: no deltas
+  applied_.reset();
 }
 
 }  // namespace dice::bgp

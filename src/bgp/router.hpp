@@ -77,7 +77,11 @@ class BgpRouter final : public NodeImplementation, public SessionHost {
   void reset_flip_counters() override {
     best_flips_.clear();
     max_best_flips_ = 0;
-    ++state_version_;  // flip counters are checkpointed state
+    // Flip counters are checkpointed state, but no route-derived check
+    // reads them: a clean node stays clean.
+    const bool clean = applied_version_ == state_version_;
+    ++state_version_;
+    if (clean) applied_version_ = state_version_;
   }
   /// Highest per-prefix best-route flip count seen since the counters were
   /// last reset — O(1), maintained incrementally so the oscillation
@@ -120,6 +124,11 @@ class BgpRouter final : public NodeImplementation, public SessionHost {
   /// RIBs, flip counters) changes. Equal versions => byte-identical
   /// checkpoints. Exposed for tests and the snapshot-scale bench.
   [[nodiscard]] std::uint64_t state_version() const noexcept { return state_version_; }
+  /// Clean while state_version_ still equals the version apply() left.
+  [[nodiscard]] std::shared_ptr<const snapshot::DecodedCheckpoint> clean_checkpoint()
+      const override {
+    return applied_version_ == state_version_ ? applied_.lock() : nullptr;
+  }
 
   /// Returns the router to its just-constructed state (empty RIBs, Idle
   /// sessions, zeroed stats/flip counters, aborted snapshot bookkeeping) so
@@ -183,6 +192,10 @@ class BgpRouter final : public NodeImplementation, public SessionHost {
     std::uint64_t hash = 0;  ///< full-state hash at `version`
   };
   LastCheckpoint last_checkpoint_;
+  /// Clean-node bookkeeping (clean_checkpoint): the checkpoint the last
+  /// successful apply() restored and the version it left behind.
+  std::weak_ptr<const snapshot::DecodedCheckpoint> applied_;
+  std::uint64_t applied_version_ = 0;
 };
 
 }  // namespace dice::bgp

@@ -1,7 +1,6 @@
 #include "bgp2/engine.hpp"
 
 #include <algorithm>
-#include <set>
 #include <span>
 
 #include "concolic/context.hpp"
@@ -112,6 +111,7 @@ void FsmEngine::deliver_data(sim::NodeId from, const util::Bytes& payload) {
     // Injected programming error in the data path: model the daemon crash
     // as an all-sessions reset, observable through handler_crashes.
     ++stats_.handler_crashes;
+    ++state_version_;  // crash recovery resets every session
     logger().warn() << config_.name << ": handler crash: " << crash.what;
     for (auto& [peer, peer_fsm] : fsms_) {
       peer_fsm->reset_transport("daemon crash: " + crash.what);
@@ -235,16 +235,7 @@ std::vector<bgp::Route> FsmEngine::collect_candidates(const util::IpPrefix& pref
   std::vector<bgp::Route> candidates;
   if (std::find(config_.networks.begin(), config_.networks.end(), prefix) !=
       config_.networks.end()) {
-    bgp::Route local;
-    local.prefix = prefix;
-    local.attrs.origin = bgp::Origin::kIgp;
-    local.attrs.next_hop = config_.address;
-    local.source.peer_node = bgp::kLocalRoute;
-    local.source.peer_asn = config_.asn;
-    local.source.peer_router_id = config_.router_id;
-    local.source.peer_address = config_.address;
-    local.source.ebgp = false;
-    candidates.push_back(std::move(local));
+    candidates.push_back(bgp::local_route(config_, prefix));
   }
   for (const auto& [peer, rib] : adj_in_) {
     if (const bgp::Route* route = rib.find(prefix)) candidates.push_back(*route);
@@ -371,21 +362,7 @@ void FsmEngine::export_to_peer(PeerFsm& fsm, const util::IpPrefix& prefix) {
 
 void FsmEngine::for_each_decision(
     const std::function<void(const DecisionView&)>& fn) const {
-  std::set<util::IpPrefix> prefixes;
-  for (const util::IpPrefix& prefix : config_.networks) prefixes.insert(prefix);
-  for (const auto& [peer, rib] : adj_in_) {
-    for (const auto& [prefix, route] : rib.table()) prefixes.insert(prefix);
-  }
-  for (const auto& [prefix, route] : loc_rib_.table()) prefixes.insert(prefix);
-
-  for (const util::IpPrefix& prefix : prefixes) {
-    const std::vector<bgp::Route> candidates = collect_candidates(prefix);
-    DecisionView view;
-    view.prefix = prefix;
-    view.selected = loc_rib_.find(prefix);
-    view.candidates = &candidates;
-    fn(view);
-  }
+  bgp::for_each_rib_decision(config_, adj_in_, loc_rib_, fn);
 }
 
 // ---------------------------------------------------------------------------
@@ -485,6 +462,8 @@ util::Status FsmEngine::apply(const snapshot::DecodedCheckpoint& state) {
     best_flips_[prefix] = count;
     max_best_flips_ = std::max(max_best_flips_, count);
   }
+  applied_ = state.weak_from_this();
+  applied_version_ = state_version_;
   return util::Status::success();
 }
 
@@ -519,6 +498,7 @@ void FsmEngine::reset_for_reuse() {
   restart_delay_ = sim::kSecond;
   ++state_version_;
   last_checkpoint_ = {};  // arena reuse crosses snapshot lineages: no deltas
+  applied_.reset();
 }
 
 }  // namespace dice::bgp2

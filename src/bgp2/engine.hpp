@@ -60,7 +60,9 @@ class FsmEngine final : public bgp::NodeImplementation, public PeerFsm::Host {
   void reset_flip_counters() override {
     best_flips_.clear();
     max_best_flips_ = 0;
+    const bool clean = applied_version_ == state_version_;  // flips keep it clean
     ++state_version_;
+    if (clean) applied_version_ = state_version_;
   }
   [[nodiscard]] const Stats& stats() const noexcept override { return stats_; }
   [[nodiscard]] std::size_t established_session_count() const override;
@@ -77,6 +79,10 @@ class FsmEngine final : public bgp::NodeImplementation, public PeerFsm::Host {
   /// Sum of per-peer OPEN-collision detections.
   [[nodiscard]] std::uint64_t collisions_detected() const;
   [[nodiscard]] std::uint64_t state_version() const noexcept { return state_version_; }
+  [[nodiscard]] std::shared_ptr<const snapshot::DecodedCheckpoint> clean_checkpoint()
+      const override {
+    return applied_version_ == state_version_ ? applied_.lock() : nullptr;
+  }
 
   // --- Checkpointable -------------------------------------------------------
   void checkpoint(util::ByteWriter& writer) const override;
@@ -139,6 +145,9 @@ class FsmEngine final : public bgp::NodeImplementation, public PeerFsm::Host {
     std::uint64_t hash = 0;
   };
   LastCheckpoint last_checkpoint_;
+  // Clean-node bookkeeping, same contract as the reference engine.
+  std::weak_ptr<const snapshot::DecodedCheckpoint> applied_;
+  std::uint64_t applied_version_ = 0;
 };
 
 }  // namespace dice::bgp2

@@ -53,28 +53,38 @@ CheckVerdict OscillationCheck::run(const bgp::NodeImplementation& router) const 
   return verdict;
 }
 
-CheckVerdict OriginClaimCheck::run(const bgp::NodeImplementation& router) const {
-  CheckVerdict verdict;
-  verdict.check = std::string(name());
-  verdict.node = router.node_id();
+namespace {
+
+/// Calls `fn(claim)` for every origin claim the node's Loc-RIB makes.
+template <typename Fn>
+void for_each_origin_claim(const bgp::NodeImplementation& router, Fn&& fn) {
   for (const auto& [prefix, route] : router.loc_rib().table()) {
     const bgp::Asn origin =
         route.local() ? router.config().asn
                       : route.attrs.as_path.origin_asn().value_or(route.source.peer_asn);
-    // Publish the claim for the exact prefix AND for every covering prefix
-    // down to /8. This keeps sub-prefix (more-specific) hijacks detectable
-    // through the hashed interface: the owner of the covering block will
-    // recognize its own prefix hash among the claims. Claims are still
-    // only hashes — observers learn nothing about prefixes they don't own.
-    verdict.origin_claims.push_back(CheckVerdict::OriginClaim{hash_prefix(prefix), origin});
+    // Claim the exact prefix AND every covering prefix down to /8. This
+    // keeps sub-prefix (more-specific) hijacks detectable through the
+    // hashed interface: the owner of the covering block will recognize its
+    // own prefix hash among the claims. Claims are still only hashes —
+    // observers learn nothing about prefixes they don't own.
+    fn(CheckVerdict::OriginClaim{hash_prefix(prefix), origin});
     for (int len = static_cast<int>(prefix.length()) - 1; len >= 8; --len) {
-      CheckVerdict::OriginClaim claim;
-      claim.prefix_hash =
-          hash_prefix(util::IpPrefix{prefix.address(), static_cast<std::uint8_t>(len)});
-      claim.origin = origin;
-      verdict.origin_claims.push_back(claim);
+      fn(CheckVerdict::OriginClaim{
+          hash_prefix(util::IpPrefix{prefix.address(), static_cast<std::uint8_t>(len)}),
+          origin});
     }
   }
+}
+
+}  // namespace
+
+CheckVerdict OriginClaimCheck::run(const bgp::NodeImplementation& router) const {
+  CheckVerdict verdict;
+  verdict.check = std::string(name());
+  verdict.node = router.node_id();
+  for_each_origin_claim(router, [&](const CheckVerdict::OriginClaim& claim) {
+    verdict.origin_claims.push_back(claim);
+  });
   for (const util::IpPrefix& prefix : router.config().networks) {
     verdict.owned_prefix_hashes.push_back(hash_prefix(prefix));
   }
@@ -134,8 +144,8 @@ CheckVerdict DifferentialCheck::run(const bgp::NodeImplementation& router) const
   std::uint64_t evidence = 0;
   router.for_each_decision([&](const bgp::NodeImplementation::DecisionView& view) {
     ++decisions;
-    const std::size_t best = bgp::select_best(*view.candidates, options);
-    const bgp::Route* expected = best == SIZE_MAX ? nullptr : &(*view.candidates)[best];
+    const std::size_t best = bgp::select_best_of(view.candidates, options);
+    const bgp::Route* expected = best == SIZE_MAX ? nullptr : view.candidates[best];
     const bool match =
         expected == nullptr ? view.selected == nullptr
                             : view.selected != nullptr && *view.selected == *expected;
@@ -174,6 +184,42 @@ std::map<std::uint64_t, bgp::Asn> collect_owners(
     }
   }
   return owners;
+}
+
+OriginOwners origin_owners(const bgp::SystemBlueprint& blueprint) {
+  OriginOwners owners;
+  for (const bgp::RouterConfig& config : blueprint.configs) {
+    for (const util::IpPrefix& prefix : config.networks) {
+      owners.emplace(hash_prefix(prefix), config.asn);  // first owner wins
+    }
+  }
+  return owners;
+}
+
+std::vector<OriginOffense> offending_origin_claims(const bgp::NodeImplementation& router,
+                                                   const OriginOwners& owners) {
+  std::vector<OriginOffense> offenses;
+  for_each_origin_claim(router, [&](const CheckVerdict::OriginClaim& claim) {
+    auto owner_it = owners.find(claim.prefix_hash);
+    if (owner_it != owners.end() && owner_it->second != claim.origin) {
+      offenses.push_back(OriginOffense{claim.prefix_hash, claim.origin, 1});
+    }
+  });
+  std::sort(offenses.begin(), offenses.end(), [](const OriginOffense& a, const OriginOffense& b) {
+    return std::pair(a.prefix_hash, a.origin) < std::pair(b.prefix_hash, b.origin);
+  });
+  // Fold repeats of one pair into its count.
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < offenses.size(); ++i) {
+    if (kept > 0 && offenses[kept - 1].prefix_hash == offenses[i].prefix_hash &&
+        offenses[kept - 1].origin == offenses[i].origin) {
+      ++offenses[kept - 1].count;
+    } else {
+      offenses[kept++] = offenses[i];
+    }
+  }
+  offenses.resize(kept);
+  return offenses;
 }
 
 std::vector<OriginViolation> aggregate_origin_claims(

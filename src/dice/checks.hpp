@@ -14,9 +14,11 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "bgp/node_impl.hpp"
+#include "bgp/topology.hpp"
 
 namespace dice::core {
 
@@ -130,5 +132,27 @@ struct OriginViolation {
 [[nodiscard]] std::map<std::uint64_t, bgp::Asn> collect_owners(
     const std::vector<CheckVerdict>& verdicts,
     const std::map<sim::NodeId, bgp::Asn>& node_asns);
+
+/// The owner map straight from the configs — what collect_owners derives
+/// from the verdicts' owned-prefix hashes, with the same first-owner-wins
+/// rule in node order. Configs never change, so core::SystemPrototype
+/// builds it once for every System of a blueprint.
+using OriginOwners = std::unordered_map<std::uint64_t, bgp::Asn>;
+[[nodiscard]] OriginOwners origin_owners(const bgp::SystemBlueprint& blueprint);
+
+/// One node's origin claims that contradict `owners`: the (prefix_hash,
+/// origin) pairs aggregate_origin_claims would file against it, with how
+/// many times the node claims each pair (covering claims of two routes can
+/// coincide; every one counts as an observation).
+struct OriginOffense {
+  std::uint64_t prefix_hash = 0;
+  bgp::Asn origin = 0;
+  std::uint32_t count = 0;
+};
+
+/// The node's offending claims, sorted by (prefix_hash, origin). Walks the
+/// same claims OriginClaimCheck publishes without materializing them.
+[[nodiscard]] std::vector<OriginOffense> offending_origin_claims(
+    const bgp::NodeImplementation& router, const OriginOwners& owners);
 
 }  // namespace dice::core

@@ -1,6 +1,10 @@
 #include "dice/orchestrator.hpp"
 
+#include <algorithm>
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
+#include <map>
 #include <unordered_set>
 
 #include "explore/ledger.hpp"
@@ -42,6 +46,117 @@ struct EpisodeMetrics {
       obs::MetricsRegistry::global().histogram(obs::names::kEpisodeMs)};
   return metrics;
 }
+
+/// What the route-derived checks (RouteConsistencyCheck, DifferentialCheck,
+/// the origin claims) conclude about one node. They read only its Loc-RIB,
+/// Adj-RIB-In and config, plus the prototype's owner map.
+struct RouteVerdicts {
+  std::optional<std::string> consistency_fault;   ///< summary, when the check fails
+  std::optional<std::string> differential_fault;  ///< summary, when the check fails
+  std::vector<OriginOffense> origin_offenses;
+};
+
+[[nodiscard]] RouteVerdicts route_verdicts(const bgp::NodeImplementation& router,
+                                           const OriginOwners& owners) {
+  RouteVerdicts verdicts;
+  if (CheckVerdict v = RouteConsistencyCheck{}.run(router); !v.ok) {
+    verdicts.consistency_fault = std::move(v.summary);
+  }
+  if (CheckVerdict v = DifferentialCheck{}.run(router); !v.ok) {
+    verdicts.differential_fault = std::move(v.summary);
+  }
+  verdicts.origin_offenses = offending_origin_claims(router, owners);
+  return verdicts;
+}
+
+/// Builds the fault reports of one checked clone, every one stamped with
+/// that clone's episode, explorer and input.
+class FaultSink {
+ public:
+  FaultSink(std::uint64_t episode, sim::NodeId explorer, const util::Bytes& input)
+      : episode_(episode), explorer_(explorer), input_(input) {}
+
+  void add(FaultClass fault_class, std::string_view check, sim::NodeId node,
+           std::string description) {
+    FaultReport report;
+    report.fault_class = fault_class;
+    report.check = std::string(check);
+    report.description = std::move(description);
+    report.node = node;
+    report.episode = episode_;
+    report.explorer = explorer_;
+    report.input = input_;
+    report.potential = !input_.empty();  // baseline clones carry no input
+    reports_.push_back(std::move(report));
+  }
+
+  /// A clone that cannot quiesce within budget is itself evidence of a
+  /// policy conflict (persistent route oscillation).
+  void add_non_quiescence() {
+    add(FaultClass::kPolicyConflict, "non-quiescence", explorer_,
+        "clone did not reach quiescence within budget (persistent oscillation)");
+  }
+
+  void add_route_verdicts(sim::NodeId node, const RouteVerdicts& verdicts) {
+    if (verdicts.consistency_fault.has_value()) {
+      add(FaultClass::kOperatorMistake, RouteConsistencyCheck{}.name(), node,
+          *verdicts.consistency_fault);
+    }
+    if (verdicts.differential_fault.has_value()) {
+      add(FaultClass::kImplementationDivergence, DifferentialCheck{}.name(), node,
+          *verdicts.differential_fault);
+    }
+  }
+
+  void add_origin_violation(std::uint64_t prefix_hash, bgp::Asn observed, bgp::Asn owner,
+                            sim::NodeId first_observer, std::size_t observations) {
+    add(FaultClass::kOperatorMistake, "route-origin", first_observer,
+        util::format(
+            "prefix hash %016llx originated by AS%u but owned by AS%u (seen on %zu node(s))",
+            static_cast<unsigned long long>(prefix_hash), observed, owner, observations));
+  }
+
+  [[nodiscard]] const std::vector<FaultReport>& reports() const noexcept { return reports_; }
+  [[nodiscard]] std::vector<FaultReport> take() && { return std::move(reports_); }
+
+ private:
+  std::uint64_t episode_;
+  sim::NodeId explorer_;
+  const util::Bytes& input_;
+  std::vector<FaultReport> reports_;
+};
+
+/// RouteVerdicts memoized on the checkpoint a clean node was restored
+/// from. They also depend on the node's config and the owner map, so the
+/// memo names the prototype and node it was computed for.
+struct CleanNodeVerdicts final : snapshot::CheckpointMemo {
+  std::weak_ptr<const SystemPrototype> prototype;
+  sim::NodeId node = sim::kInvalidNode;
+  RouteVerdicts verdicts;
+
+  /// Owner identity, not address: a freed prototype never matches a new one.
+  [[nodiscard]] bool same_prototype(
+      const std::shared_ptr<const SystemPrototype>& other) const noexcept {
+    return !prototype.owner_before(other) && !other.owner_before(prototype);
+  }
+};
+
+#ifdef DICE_CHECK_AUDIT
+/// Sanitizer builds: the incremental check must reproduce the full one
+/// exactly, content and order. Any difference is a missed state_version_
+/// bump or a cache bug, and aborts.
+void audit_against_full(const std::vector<FaultReport>& incremental,
+                        const std::vector<FaultReport>& full) {
+  if (incremental == full) return;
+  std::fprintf(stderr, "check audit: incremental check differs from the full check\n");
+  for (std::size_t i = 0; i < std::max(incremental.size(), full.size()); ++i) {
+    std::fprintf(stderr, "  [%zu] incremental: %s\n        full:        %s\n", i,
+                 i < incremental.size() ? incremental[i].to_string().c_str() : "-",
+                 i < full.size() ? full[i].to_string().c_str() : "-");
+  }
+  std::abort();
+}
+#endif
 
 }  // namespace
 
@@ -147,27 +262,81 @@ std::vector<FaultReport> Orchestrator::check_system(System& system, std::uint64_
                                                     sim::NodeId explorer,
                                                     const util::Bytes& input,
                                                     bool quiesced) const {
-  std::vector<FaultReport> faults;
-  const auto add = [&](FaultClass fault_class, std::string check, sim::NodeId node,
-                       std::string description) {
-    FaultReport report;
-    report.fault_class = fault_class;
-    report.check = std::move(check);
-    report.description = std::move(description);
-    report.node = node;
-    report.episode = episode;
-    report.explorer = explorer;
-    report.input = input;
-    report.potential = !input.empty();  // baseline clones carry no input
-    faults.push_back(std::move(report));
-  };
+  static obs::Counter& reused_counter =
+      obs::MetricsRegistry::global().counter(obs::names::kCheckVerdictsReused);
+  FaultSink faults{episode, explorer, input};
+  if (!quiesced) faults.add_non_quiescence();
 
-  // A clone that cannot quiesce within budget is itself evidence of a
-  // policy conflict (persistent route oscillation).
-  if (!quiesced) {
-    add(FaultClass::kPolicyConflict, "non-quiescence", explorer,
-        "clone did not reach quiescence within budget (persistent oscillation)");
+  const CrashCheck crash_check;
+  const OscillationCheck oscillation_check(options_.oscillation_threshold);
+  const std::shared_ptr<const SystemPrototype>& prototype = system.prototype();
+  const OriginOwners& owners = prototype->origin_owners();
+
+  // (prefix_hash, bad origin) -> (first observer, observations), the
+  // running form of aggregate_origin_claims' observer lists.
+  std::map<std::pair<std::uint64_t, bgp::Asn>, std::pair<sim::NodeId, std::size_t>> offenders;
+  std::uint64_t reused = 0;
+  for (std::size_t i = 0; i < system.size(); ++i) {
+    const sim::NodeId node = static_cast<sim::NodeId>(i);
+    const bgp::NodeImplementation& router = system.router(node);
+
+    // Crash and oscillation read counters that move in every clone; they
+    // always run live (O(1) and O(flips)).
+    if (CheckVerdict v = crash_check.run(router); !v.ok) {
+      faults.add(FaultClass::kProgrammingError, v.check, node, std::move(v.summary));
+    }
+    if (CheckVerdict v = oscillation_check.run(router); !v.ok) {
+      faults.add(FaultClass::kPolicyConflict, v.check, node, std::move(v.summary));
+    }
+
+    // The route-derived verdicts of a clean node are those of the
+    // checkpoint it was restored from: computed once, memoized on that
+    // checkpoint, re-stamped with this clone's identity by `faults`.
+    std::shared_ptr<const CleanNodeVerdicts> memo;
+    RouteVerdicts dirty;
+    const RouteVerdicts* verdicts = &dirty;
+    if (const auto checkpoint = router.clean_checkpoint()) {
+      memo = std::dynamic_pointer_cast<const CleanNodeVerdicts>(checkpoint->memo());
+      if (memo != nullptr && memo->node == node && memo->same_prototype(prototype)) {
+        ++reused;
+      } else {
+        auto fresh = std::make_shared<CleanNodeVerdicts>();
+        fresh->prototype = prototype;
+        fresh->node = node;
+        fresh->verdicts = route_verdicts(router, owners);
+        checkpoint->set_memo(fresh);
+        memo = std::move(fresh);
+      }
+      verdicts = &memo->verdicts;
+    } else {
+      dirty = route_verdicts(router, owners);
+    }
+    faults.add_route_verdicts(node, *verdicts);
+    for (const OriginOffense& offense : verdicts->origin_offenses) {
+      offenders.try_emplace({offense.prefix_hash, offense.origin}, node, 0)
+          .first->second.second += offense.count;
+    }
   }
+  reused_counter.add(reused);
+
+  // Cross-node origin authorization over the narrow interface.
+  for (const auto& [key, observed] : offenders) {
+    faults.add_origin_violation(key.first, key.second, owners.at(key.first), observed.first,
+                                observed.second);
+  }
+#ifdef DICE_CHECK_AUDIT
+  audit_against_full(faults.reports(),
+                     check_system_full(system, episode, explorer, input, quiesced));
+#endif
+  return std::move(faults).take();
+}
+
+std::vector<FaultReport> Orchestrator::check_system_full(System& system, std::uint64_t episode,
+                                                         sim::NodeId explorer,
+                                                         const util::Bytes& input,
+                                                         bool quiesced) const {
+  FaultSink faults{episode, explorer, input};
+  if (!quiesced) faults.add_non_quiescence();
 
   const CrashCheck crash_check;
   const OscillationCheck oscillation_check(options_.oscillation_threshold);
@@ -181,20 +350,20 @@ std::vector<FaultReport> Orchestrator::check_system(System& system, std::uint64_
     const bgp::NodeImplementation& router = system.router(node);
 
     if (CheckVerdict v = crash_check.run(router); !v.ok) {
-      add(FaultClass::kProgrammingError, v.check, node, v.summary);
+      faults.add(FaultClass::kProgrammingError, v.check, node, std::move(v.summary));
     }
     if (CheckVerdict v = oscillation_check.run(router); !v.ok) {
-      add(FaultClass::kPolicyConflict, v.check, node, v.summary);
+      faults.add(FaultClass::kPolicyConflict, v.check, node, std::move(v.summary));
     }
     if (CheckVerdict v = consistency_check.run(router); !v.ok) {
-      add(FaultClass::kOperatorMistake, v.check, node, v.summary);
+      faults.add(FaultClass::kOperatorMistake, v.check, node, std::move(v.summary));
     }
     // Differential oracle: an invariant (never adds a fault) on the
     // reference engine, the cross-implementation divergence signal on any
     // other — so all-BgpRouter fault sets are byte-identical to pre-
     // heterogeneity runs.
     if (CheckVerdict v = differential_check.run(router); !v.ok) {
-      add(FaultClass::kImplementationDivergence, v.check, node, v.summary);
+      faults.add(FaultClass::kImplementationDivergence, v.check, node, std::move(v.summary));
     }
     origin_verdicts.push_back(origin_check.run(router));
   }
@@ -202,15 +371,12 @@ std::vector<FaultReport> Orchestrator::check_system(System& system, std::uint64_
   // Cross-node origin authorization over the narrow interface.
   const auto owners = collect_owners(origin_verdicts, system.node_asns());
   for (const OriginViolation& violation : aggregate_origin_claims(origin_verdicts, owners)) {
-    std::string desc = util::format(
-        "prefix hash %016llx originated by AS%u but owned by AS%u (seen on %zu node(s))",
-        static_cast<unsigned long long>(violation.prefix_hash), violation.observed_origin,
-        violation.legitimate_origin, violation.observers.size());
-    add(FaultClass::kOperatorMistake, "route-origin",
+    faults.add_origin_violation(
+        violation.prefix_hash, violation.observed_origin, violation.legitimate_origin,
         violation.observers.empty() ? explorer : violation.observers.front(),
-        std::move(desc));
+        violation.observers.size());
   }
-  return faults;
+  return std::move(faults).take();
 }
 
 EpisodeResult Orchestrator::run_episode(InputStrategy& strategy) {

@@ -185,12 +185,27 @@ class Orchestrator {
   /// experiments are reproducible; real deployments can plug any policy.
   [[nodiscard]] sim::NodeId next_explorer();
 
-  /// Runs the full check suite over a (usually cloned) system and returns
-  /// classified faults. Exposed for tests and custom harnesses.
+  /// Runs the check suite over a (usually cloned) system and returns
+  /// classified faults. Incremental: a node still clean since it was
+  /// restored (NodeImplementation::clean_checkpoint) reuses the
+  /// route-derived verdicts memoized on its checkpoint; crash and
+  /// oscillation checks run live on every node. The fault list equals
+  /// check_system_full's in content and order (sanitizer builds assert it
+  /// on every call). Exposed for tests and custom harnesses.
   [[nodiscard]] std::vector<FaultReport> check_system(System& system, std::uint64_t episode,
                                                       sim::NodeId explorer,
                                                       const util::Bytes& input,
                                                       bool quiesced) const;
+
+  /// The reference check_system is measured against: every check on every
+  /// node, origin claims materialized and aggregated through
+  /// collect_owners / aggregate_origin_claims. Faults come per node in node
+  /// order, then origin violations in (prefix hash, origin) order.
+  [[nodiscard]] std::vector<FaultReport> check_system_full(System& system,
+                                                           std::uint64_t episode,
+                                                           sim::NodeId explorer,
+                                                           const util::Bytes& input,
+                                                           bool quiesced) const;
 
  private:
   /// The arena a task runs on: the executing pool worker's (shared or

@@ -42,6 +42,8 @@ struct FaultReport {
   bool potential = false;
 
   [[nodiscard]] std::string to_string() const;
+
+  bool operator==(const FaultReport&) const = default;
 };
 
 /// Deduplication key: same class+check+node+description collapses across

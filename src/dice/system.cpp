@@ -18,7 +18,8 @@ const util::Logger& logger() {
 SystemPrototype::SystemPrototype(bgp::SystemBlueprint blueprint)
     : blueprint_(std::move(blueprint)),
       address_book_(std::make_shared<const std::map<util::IpAddress, sim::NodeId>>(
-          blueprint_.address_book())) {
+          blueprint_.address_book())),
+      origin_owners_(core::origin_owners(blueprint_)) {
   for (std::size_t i = 0; i < blueprint_.size(); ++i) {
     members_.insert(static_cast<sim::NodeId>(i));
   }

@@ -16,6 +16,7 @@
 #include "bgp/node_impl.hpp"
 #include "bgp/router.hpp"
 #include "bgp/topology.hpp"
+#include "dice/checks.hpp"
 #include "snapshot/coordinator.hpp"
 #include "snapshot/live_state.hpp"
 #include "snapshot/prepared.hpp"
@@ -40,11 +41,14 @@ class SystemPrototype {
     return address_book_;
   }
   [[nodiscard]] const std::set<sim::NodeId>& members() const noexcept { return members_; }
+  /// Prefix-hash owners for the origin check; configs alone decide them.
+  [[nodiscard]] const OriginOwners& origin_owners() const noexcept { return origin_owners_; }
 
  private:
   bgp::SystemBlueprint blueprint_;
   std::shared_ptr<const std::map<util::IpAddress, sim::NodeId>> address_book_;
   std::set<sim::NodeId> members_;
+  OriginOwners origin_owners_;
 };
 
 class System {

@@ -60,6 +60,7 @@ inline constexpr std::string_view kClones = "dice_clones_total";
 inline constexpr std::string_view kClonesReused = "dice_clones_reused_total";
 inline constexpr std::string_view kClonesEarlyExit = "dice_clones_early_exit_total";
 inline constexpr std::string_view kFaults = "dice_faults_total";
+inline constexpr std::string_view kCheckVerdictsReused = "dice_check_verdicts_reused_total";
 inline constexpr std::string_view kCellsCompleted = "dice_cells_completed_total";
 
 // --- heterogeneous federation (bgp2 engine + differential checks) -----------

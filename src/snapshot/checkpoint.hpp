@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 
 #include "util/bytes.hpp"
 #include "util/result.hpp"
@@ -23,13 +24,39 @@ using SnapshotId = std::uint64_t;
 /// are refused as unknown.
 inline constexpr std::uint8_t kCheckpointSameAsBaseline = 0x03;
 
+/// Derived data that a layer above the snapshot memoizes per decoded
+/// checkpoint (the dice checks keep clean-node verdicts here). Opaque to
+/// the snapshot layer; the owner downcasts what it published.
+class CheckpointMemo {
+ public:
+  virtual ~CheckpointMemo() = default;
+};
+
 /// Typed, immutable result of decoding a checkpoint once. Concrete
 /// subclasses live with the protocol (bgp::RouterCheckpoint); the snapshot
 /// layer only needs an opaque, shareable handle so one decode can feed many
-/// clones (PreparedSnapshot holds these via shared_ptr<const>).
-class DecodedCheckpoint {
+/// clones (PreparedSnapshot holds these via shared_ptr<const>). A node
+/// that applied one keeps a weak_ptr to it (weak_from_this) to name the
+/// state it restored from; one not owned by a shared_ptr names nothing.
+class DecodedCheckpoint : public std::enable_shared_from_this<DecodedCheckpoint> {
  public:
   virtual ~DecodedCheckpoint() = default;
+
+  /// The memo slot. It lives and dies with this checkpoint, so a memo can
+  /// neither outlive the state it was derived from nor be found again
+  /// under a recycled address. Any thread may read or replace it.
+  [[nodiscard]] std::shared_ptr<const CheckpointMemo> memo() const {
+    const std::lock_guard<std::mutex> lock(memo_mutex_);
+    return memo_;
+  }
+  void set_memo(std::shared_ptr<const CheckpointMemo> memo) const {
+    const std::lock_guard<std::mutex> lock(memo_mutex_);
+    memo_ = std::move(memo);
+  }
+
+ private:
+  mutable std::mutex memo_mutex_;
+  mutable std::shared_ptr<const CheckpointMemo> memo_;
 };
 
 class Checkpointable {
