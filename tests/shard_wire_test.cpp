@@ -156,6 +156,17 @@ TEST(ShardWire, ShardDoneAndDescriptorRoundTrip) {
   EXPECT_EQ(encode_cell_descriptor(*desc_round), desc_bytes);
 }
 
+// Byte pins: FNV-1a over one encoding of every message kind. Any change
+// to a record's field order or primitive moves one of these.
+TEST(ShardWire, EncodedBytesArePinned) {
+  EXPECT_EQ(util::fnv1a(encode_job(make_job())), 0x9a8b4351a013bd2eull);
+  EXPECT_EQ(util::fnv1a(encode_cell_result(make_cell_result())), 0xb11f722c9773bb38ull);
+  EXPECT_EQ(util::fnv1a(encode_shard_done({4, 2, {9}})), 0x79aa5b2a9f8e9ca6ull);
+  EXPECT_EQ(util::fnv1a(encode_cell_descriptor(
+                WireCellDescriptor{1, "ring6", "random", 3, ""})),
+            0x73cf8c93cd7a0b50ull);
+}
+
 TEST(ShardWire, EqualValuesProduceEqualBytes) {
   EXPECT_EQ(encode_job(make_job()), encode_job(make_job()));
   EXPECT_EQ(encode_cell_result(make_cell_result()), encode_cell_result(make_cell_result()));

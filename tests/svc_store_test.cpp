@@ -10,6 +10,7 @@
 #include <fstream>
 
 #include "svc/artifact_store.hpp"
+#include "util/hash.hpp"
 
 namespace dice::svc {
 namespace {
@@ -78,6 +79,14 @@ TEST(ArtifactStoreTest, RoundtripPreservesEverything) {
   EXPECT_EQ(artifact.snap.channels.size(), 1u);
   EXPECT_EQ(artifact.snap.cut_hash(), artifact.cut_hash);
   EXPECT_EQ(back.unsat_keys, (std::vector<std::uint64_t>{3, 7, 11}));
+}
+
+// Byte pin: FNV-1a over the encoded fixture store. Any change to the
+// artifact's field order or primitives moves it.
+TEST(ArtifactStoreTest, EncodedBytesArePinned) {
+  auto encoded = ArtifactStore::encode(make_contents());
+  ASSERT_TRUE(encoded.ok());
+  EXPECT_EQ(util::fnv1a(encoded.value()), 0xeb21e4df9fc6234bull);
 }
 
 TEST(ArtifactStoreTest, EqualContentsEncodeToEqualBytes) {
