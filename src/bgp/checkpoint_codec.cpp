@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "snapshot/checkpoint.hpp"
+
 namespace dice::bgp::ckpt {
 
 using util::ByteReader;
@@ -244,7 +246,16 @@ Result<SessionCheckpoint> read_session_v2(ByteReader& r) {
 
 Result<RouterStateV2> read_router_v2(ByteReader& reader,
                                      const std::function<bool(sim::NodeId)>& known_peer) {
-  (void)reader.u8();  // version byte, dispatched on by the caller
+  // First-byte dispatch: v2 streams announce themselves with kFormatV2; the
+  // snapshot layer's delta envelope must be resolved upstream
+  // (PreparedSnapshot::build) — reaching a decode with one is an error; any
+  // other first byte is refused.
+  auto head = reader.u8();
+  if (!head) return make_error("router.restore.sessions");
+  if (head.value() == snapshot::kCheckpointSameAsBaseline) {
+    return make_error("router.restore.delta_unresolved");
+  }
+  if (head.value() != kFormatV2) return make_error("router.restore.unknown_format");
   RouterStateV2 out;
   AttrPoolDecoder pool;
   for (;;) {

@@ -106,9 +106,12 @@ struct RouterStateV2 {
   std::vector<std::pair<util::IpPrefix, std::uint32_t>> best_flips;
 };
 
-/// Parses a complete v2 stream with the reader positioned at the kFormatV2
-/// version byte. `known_peer` lets the caller reject session entries for
-/// peers it has no FSM for (stable code `router.restore.unknown_peer`).
+/// Parses a complete v2 stream from its first byte, which both engines'
+/// parse() hand over unread: the snapshot layer's delta envelope fails
+/// `router.restore.delta_unresolved`, any byte other than kFormatV2
+/// `router.restore.unknown_format`. `known_peer` lets the caller reject
+/// session entries for peers it has no FSM for (stable code
+/// `router.restore.unknown_peer`).
 [[nodiscard]] util::Result<RouterStateV2> read_router_v2(
     util::ByteReader& reader, const std::function<bool(sim::NodeId)>& known_peer);
 

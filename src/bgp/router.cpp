@@ -418,18 +418,6 @@ util::Result<std::shared_ptr<const snapshot::DecodedCheckpoint>> BgpRouter::pars
       obs::MetricsRegistry::global().counter(obs::names::kCheckpointDecodes);
   decode_counter.add();
 
-  // Version dispatch on the first byte: v2 byte-coded streams announce
-  // themselves with kFormatV2; the snapshot layer's delta envelope must be
-  // resolved upstream (PreparedSnapshot::build) — reaching parse with one is
-  // an error, not a decode; any other first byte is refused.
-  auto head = reader.peek_u8();
-  if (!head) return util::make_error("router.restore.sessions");
-  if (head.value() == snapshot::kCheckpointSameAsBaseline) {
-    return util::make_error("router.restore.delta_unresolved");
-  }
-  if (head.value() != ckpt::kFormatV2) {
-    return util::make_error("router.restore.unknown_format");
-  }
   auto state = ckpt::read_router_v2(reader, [this](sim::NodeId peer) {
     return sessions_.find(peer) != sessions_.end();
   });

@@ -417,15 +417,6 @@ util::Result<std::shared_ptr<const snapshot::DecodedCheckpoint>> FsmEngine::pars
   decode_counter.add();
   fsm_decode_counter.add();
 
-  auto head = reader.peek_u8();
-  if (!head) return util::make_error("router.restore.sessions");
-  if (head.value() == snapshot::kCheckpointSameAsBaseline) {
-    return util::make_error("router.restore.delta_unresolved");
-  }
-  if (head.value() != bgp::ckpt::kFormatV2) {
-    // Same dispatch and code as the reference engine (BgpRouter::parse).
-    return util::make_error("router.restore.unknown_format");
-  }
   auto state = bgp::ckpt::read_router_v2(reader, [this](sim::NodeId peer) {
     return fsms_.find(peer) != fsms_.end();
   });

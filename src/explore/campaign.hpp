@@ -25,11 +25,9 @@
 //   carry fault sets byte-identical to an uncancelled run's, at any worker
 //   count.
 //
-// The pre-Campaign thin wrappers (ScenarioMatrix::run(pool) without a
-// RunControl, hand-built MatrixOptions in callers) are gone after their one
-// release of migration headroom; driving Orchestrator directly remains
-// supported for single-system harnesses. See docs/ARCHITECTURE.md for the
-// layer tour and docs/TUNING.md for every knob.
+// Driving Orchestrator directly remains supported for single-system
+// harnesses. See docs/ARCHITECTURE.md for the layer tour and
+// docs/TUNING.md for every knob.
 #pragma once
 
 #include <chrono>
@@ -50,24 +48,25 @@ namespace dice::explore {
 struct CampaignOptions {
   /// How much work a run does (per cell, per episode, per clone).
   struct Budgets {
-    std::size_t episodes_per_cell = 1;        ///< was MatrixOptions::episodes_per_cell
-    std::size_t inputs_per_episode = 32;      ///< was DiceOptions::inputs_per_episode
-    std::size_t bootstrap_events = 500'000;   ///< was MatrixOptions::bootstrap_events
-    std::size_t clone_event_budget = 200'000; ///< was DiceOptions::clone_event_budget
-    sim::Time clone_time_budget = 120 * sim::kSecond;  ///< was DiceOptions::clone_time_budget
-    bool include_baseline_clone = true;       ///< was DiceOptions::include_baseline_clone
+    std::size_t episodes_per_cell = 1;
+    std::size_t inputs_per_episode = 32;
+    std::size_t bootstrap_events = 500'000;
+    std::size_t clone_event_budget = 200'000;
+    sim::Time clone_time_budget = 120 * sim::kSecond;
+    bool include_baseline_clone = true;
+    bool operator==(const Budgets&) const = default;
   };
   /// What is reused across cells and runs.
   struct Caching {
-    bool live_state_cache = true;        ///< was MatrixOptions::live_state_cache
+    bool live_state_cache = true;
     /// External bootstrap cache shared across campaigns; nullptr = the
     /// campaign owns one for its lifetime (repeat run() soaks still hit).
-    LiveStateCache* live_cache = nullptr;  ///< was MatrixOptions::live_cache
+    LiveStateCache* live_cache = nullptr;
     /// LRU bound for the campaign-OWNED cache. An external `live_cache`
     /// keeps the bound it was constructed with; this knob does not rebind
     /// it.
     std::size_t live_cache_max_entries = LiveStateCache::kDefaultMaxEntries;
-    bool share_solver_cache = false;     ///< was MatrixOptions::share_solver_cache
+    bool share_solver_cache = false;
     /// Proven-UNSAT solver keys pre-seeded into every solver cache each
     /// run() creates (MatrixOptions::unsat_seed) — the svc::ArtifactStore
     /// warm-start path. Sound and byte-stable: a seeded hit skips solving
@@ -79,12 +78,12 @@ struct CampaignOptions {
     /// cost follows churn, not topology size). See
     /// DiceOptions::delta_snapshots.
     bool delta_snapshots = true;
+    bool operator==(const Caching&) const = default;
   };
   /// Where the work runs. `workers` is the ONE global knob: a single
   /// worker budget that both layers — matrix cells and their episodes'
-  /// clone batches — draw from. The old cells-vs-clones split
-  /// (DiceOptions::parallelism inside MatrixOptions::dice) is gone; there
-  /// is no way to oversubscribe by sizing two layers independently.
+  /// clone batches — draw from, so there is no way to oversubscribe by
+  /// sizing two layers independently.
   struct Parallelism {
     std::size_t workers = 1;      ///< global worker budget (cells + clones)
     /// External pool shared across campaigns (arena reuse); overrides
@@ -97,6 +96,7 @@ struct CampaignOptions {
     /// equivalence baseline. Fault bytes are identical either way at any
     /// worker count (docs/DETERMINISM.md; `explore_nested_test`).
     bool nested = true;
+    bool operator==(const Parallelism&) const = default;
   };
   /// The passive observability surface (docs/OBSERVABILITY.md). Strictly
   /// read-only with respect to exploration: any Telemetry configuration
@@ -118,11 +118,12 @@ struct CampaignOptions {
     /// The canonical `observer` stream passed to run() is untouched and
     /// remains the CI surface. Strictly passive; nullptr = off.
     CampaignObserver* wall_observer = nullptr;
+    bool operator==(const Telemetry&) const = default;
   };
 
   /// Everything that pins the byte-identical receipt.
   struct Determinism {
-    std::vector<std::uint64_t> seeds{1};   ///< was MatrixOptions::seeds
+    std::vector<std::uint64_t> seeds{1};
     /// Node-implementation axis (MatrixOptions::implementations;
     /// docs/HETEROGENEITY.md). Each entry fans the cross-product out once
     /// more: "" = every blueprint as authored (per-node pins honored), a
@@ -131,16 +132,17 @@ struct CampaignOptions {
     /// cell indices and fault bytes exactly. Unknown non-"" ids are
     /// rejected by validate().
     std::vector<std::string> implementations{std::string()};
-    std::uint64_t rng_seed = 0xd1ce5eed;   ///< was DiceOptions::rng_seed
+    std::uint64_t rng_seed = 0xd1ce5eed;
     /// Overrides the per-cell derived strategy seed with one fixed value
     /// for EVERY cell (MatrixOptions::strategy_seed). For single-cell
     /// receipt campaigns that must reproduce a standalone Orchestrator
     /// harness's input stream byte-for-byte (the svc round receipt);
     /// nullopt = the derived per-cell streams.
     std::optional<std::uint64_t> strategy_seed = std::nullopt;
-    std::uint32_t oscillation_threshold = 8;  ///< was DiceOptions::oscillation_threshold
-    bool oscillation_early_exit = true;    ///< was DiceOptions::oscillation_early_exit
-    bool bootstrap_early_exit = true;      ///< was DiceOptions::bootstrap_early_exit
+    std::uint32_t oscillation_threshold = 8;
+    bool oscillation_early_exit = true;
+    bool bootstrap_early_exit = true;
+    bool operator==(const Determinism&) const = default;
   };
 
   std::vector<StrategyKind> strategies{StrategyKind::kGrammar, StrategyKind::kRandom};
@@ -152,6 +154,7 @@ struct CampaignOptions {
   /// Time-box: run() behaves as if a stop were requested at this instant
   /// (combined with any caller token; the earlier wins).
   std::optional<StopToken::Clock::time_point> deadline;
+  bool operator==(const CampaignOptions&) const = default;
 
   class Builder;
   [[nodiscard]] static Builder builder();
@@ -198,8 +201,8 @@ class CampaignOptions::Builder {
     options_.parallelism.nested = value;
     return *this;
   }
-  /// Per-knob budget conveniences, for callers migrating from hand-built
-  /// DiceOptions/MatrixOptions who only ever set one or two fields.
+  /// Per-knob budget conveniences, for callers that set only one or two
+  /// fields.
   Builder& episodes_per_cell(std::size_t value) {
     options_.budgets.episodes_per_cell = value;
     return *this;

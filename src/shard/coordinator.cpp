@@ -134,7 +134,6 @@ util::Result<ShardRunResult> ShardCoordinator::run(
   // scenarios/bootstrap keys across workers the way the in-process
   // interleave spreads them across threads. Empty shards (more processes
   // than cells) resolve immediately without a spawn.
-  WireCampaignSpec spec = WireCampaignSpec::from_options(options_.scenario_set, campaign_);
   std::vector<Shard> shards(options_.processes);
   for (std::size_t s = 0; s < shards.size(); ++s) shards[s].id = s;
   for (std::size_t i = 0; i < cells.size(); ++i) {
@@ -145,7 +144,8 @@ util::Result<ShardRunResult> ShardCoordinator::run(
     shard.assigned.insert(shard.cells.begin(), shard.cells.end());
     JobSpec job;
     job.shard_id = shard.id;
-    job.campaign = spec;
+    job.scenario_set = options_.scenario_set;
+    job.campaign = campaign_;
     job.cells = shard.cells;
     if (unsat_seed != nullptr) job.unsat_seed = *unsat_seed;
     append_frame(shard.job_frame, encode_job(job));

@@ -1,13 +1,14 @@
 // shard wire form (DSHD v2): the frames a ShardCoordinator and a
 // dice_shard_worker exchange over pipes.
 //
-// Same envelope discipline as svc::ArtifactStore's DSVC files — magic,
-// version byte, FNV-1a checksum verified BEFORE any payload parse, strict
-// typed decode errors, canonical encode (equal values produce equal
-// bytes) — because the wire crosses a process boundary into a coordinator
-// that must never crash or mis-merge on a corrupt, truncated, or
-// adversarial worker. Every message is one self-contained sealed envelope;
-// on a pipe, envelopes travel inside u32-big-endian length-prefixed frames
+// Every message is one util::Envelope, the sealed envelope DSVC store files
+// use too — magic, version byte, FNV-1a checksum verified BEFORE any
+// payload parse — with strict typed decode errors and a canonical encode
+// (equal values produce equal bytes), because the wire crosses a process
+// boundary into a coordinator that must never crash or mis-merge on a
+// corrupt, truncated, or adversarial worker. Each record's layout is one
+// field list (util/fields.hpp) serving both directions. On a pipe,
+// envelopes travel inside u32-big-endian length-prefixed frames
 // (append_frame / FrameBuffer).
 //
 // What travels:
@@ -25,8 +26,8 @@
 //   kCellDescriptor standalone CellDescriptor codec (logging, tests).
 //
 // Determinism contract (docs/SHARDING.md): everything that pins fault
-// bytes — strategies, seeds, implementations, budgets, flags — is in
-// WireCampaignSpec, and cells are addressed by CANONICAL index into
+// bytes — strategies, seeds, implementations, budgets, flags — travels in
+// JobSpec::campaign, and cells are addressed by CANONICAL index into
 // explore::enumerate_cells, so a worker rebuilds the identical matrix and
 // its per-cell results merge byte-identically to a single-process run.
 #pragma once
@@ -61,50 +62,14 @@ enum class FrameTag : std::uint8_t {
   kCellDescriptor = 4,
 };
 
-/// The campaign knobs a worker needs to rebuild the byte-identical cell
-/// space: a named scenario set plus every determinism-relevant option.
-/// Pointer-shaped CampaignOptions fields (pool, caches, observers, trace,
-/// deadline) intentionally do not travel: the worker owns its own.
-struct WireCampaignSpec {
-  std::string scenario_set;  ///< resolved via shard::resolve_scenario_set
-  std::vector<explore::StrategyKind> strategies;
-  std::vector<std::uint64_t> seeds;
-  std::vector<std::string> implementations;
-  // Budgets.
-  std::uint64_t episodes_per_cell = 1;
-  std::uint64_t inputs_per_episode = 32;
-  std::uint64_t bootstrap_events = 500'000;
-  std::uint64_t clone_event_budget = 200'000;
-  std::uint64_t clone_time_budget = 0;
-  bool include_baseline_clone = true;
-  // Caching.
-  bool live_state_cache = true;
-  bool share_solver_cache = false;
-  bool delta_snapshots = true;
-  // Parallelism INSIDE the worker process (threads, not processes).
-  std::uint64_t workers = 1;
-  bool nested = true;
-  // Determinism.
-  std::uint64_t rng_seed = 0xd1ce5eed;
-  std::optional<std::uint64_t> strategy_seed;
-  std::uint32_t oscillation_threshold = 8;
-  bool oscillation_early_exit = true;
-  bool bootstrap_early_exit = true;
-
-  bool operator==(const WireCampaignSpec&) const = default;
-
-  /// Captures the wire-relevant subset of validated CampaignOptions.
-  [[nodiscard]] static WireCampaignSpec from_options(
-      std::string scenario_set, const explore::CampaignOptions& options);
-  /// The reverse lowering: a CampaignOptions whose determinism-relevant
-  /// fields equal the originals (pointers null, no deadline).
-  [[nodiscard]] explore::CampaignOptions to_options() const;
-};
-
 /// coordinator -> worker: run these canonical cells of this campaign.
 struct JobSpec {
   std::uint64_t shard_id = 0;
-  WireCampaignSpec campaign;
+  std::string scenario_set;  ///< resolved via shard::resolve_scenario_set
+  /// Only the determinism-relevant knobs travel (the campaign field list
+  /// in wire.cpp). Process-local fields (pool, caches, trace, observers,
+  /// deadline) are left unset on decode: the worker owns its own.
+  explore::CampaignOptions campaign;
   std::vector<std::uint64_t> cells;  ///< canonical indices (enumerate_cells)
   /// Proven-UNSAT solver keys to pre-seed the worker's caches with — the
   /// warm-start path crossing the process boundary. Sound and byte-stable

@@ -154,13 +154,13 @@ int worker_main(int in_fd, int out_fd, const WorkerChaos& chaos) {
     logger().error() << "job read failed: " << job.error().detail;
     return 4;
   }
-  auto scenarios = resolve_scenario_set(job.value().campaign.scenario_set);
+  auto scenarios = resolve_scenario_set(job.value().scenario_set);
   if (!scenarios) {
     logger().error() << scenarios.error().detail;
     return 5;
   }
 
-  const explore::CampaignOptions campaign = job.value().campaign.to_options();
+  const explore::CampaignOptions& campaign = job.value().campaign;
   explore::MatrixOptions options = campaign.to_matrix_options();
   options.cell_subset.emplace(job.value().cells.begin(), job.value().cells.end());
   // Warm-start seeding crosses the process boundary with the job; the

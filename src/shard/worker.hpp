@@ -2,8 +2,8 @@
 //
 // One worker process runs ONE shard attempt: it reads a single kJob frame
 // from `in_fd`, rebuilds the named campaign (shard::resolve_scenario_set +
-// WireCampaignSpec::to_options — the same lowering the coordinator and the
-// in-process Campaign use), executes only the job's canonical cell subset
+// the job's CampaignOptions, lowered by to_matrix_options as the in-process
+// Campaign lowers them), executes only the job's canonical cell subset
 // (MatrixOptions::cell_subset), streams one kCellResult frame per executed
 // cell to `out_fd` as the merge flushes it, and terminates with a
 // kShardDone receipt. The coordinator buffers everything and commits only

@@ -4,11 +4,14 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <functional>
+#include <string_view>
 
 #include "obs/metrics.hpp"
 #include "obs/names.hpp"
 #include "snapshot/checkpoint.hpp"
-#include "util/hash.hpp"
+#include "util/envelope.hpp"
+#include "util/fields.hpp"
 
 namespace dice::svc {
 
@@ -28,130 +31,45 @@ struct StoreMetrics {
   return metrics;
 }
 
-constexpr std::uint8_t kFlagQuiesced = 0x01;
-constexpr std::uint8_t kFlagOscillationExit = 0x02;
-constexpr std::uint8_t kKnownFlags = kFlagQuiesced | kFlagOscillationExit;
+constexpr util::Envelope kEnvelope{
+    std::string_view(ArtifactStore::kMagic, sizeof(ArtifactStore::kMagic)),
+    ArtifactStore::kVersion, "svc.store.bad_magic", "svc.store.bad_version",
+    "svc.store.checksum_mismatch"};
 
-void encode_artifact(util::ByteWriter& writer, const LiveStateArtifact& artifact) {
-  writer.str(artifact.key.scenario);
-  writer.str(artifact.key.implementation);
-  writer.u64(artifact.key.seed);
-  writer.vu64(artifact.key.bootstrap_events);
-  writer.vu32(artifact.key.flip_exit);
-  writer.vu64(artifact.resume_at);
-  writer.vu64(artifact.bootstrap_executed);
-  std::uint8_t flags = 0;
-  if (artifact.quiesced) flags |= kFlagQuiesced;
-  if (artifact.oscillation_exit) flags |= kFlagOscillationExit;
-  writer.u8(flags);
-  writer.u64(artifact.cut_hash);
-  writer.vu64(artifact.snap.id);
-  writer.vu64(artifact.snap.taken_at);
-  writer.vu64(artifact.snap.nodes.size());
-  for (const auto& [node, checkpoint] : artifact.snap.nodes) {
-    writer.vu32(node);
-    writer.u64(checkpoint.hash);
-    writer.vu64(checkpoint.state.size());
-    writer.raw(checkpoint.state);
-  }
-  writer.vu64(artifact.snap.channels.size());
-  for (const auto& [channel, frames] : artifact.snap.channels) {
-    writer.vu32(channel.from);
-    writer.vu32(channel.to);
-    writer.vu64(frames.size());
-    for (const util::Bytes& frame : frames) {
-      writer.vu64(frame.size());
-      writer.raw(frame);
-    }
-  }
+template <class Io>
+void fields(Io& io, util::IoRef<Io, LiveStateArtifact> artifact) {
+  io.str(artifact.key.scenario);
+  io.str(artifact.key.implementation);
+  io.u64(artifact.key.seed);
+  io.vu64(artifact.key.bootstrap_events);
+  io.vu32(artifact.key.flip_exit);
+  io.vu64(artifact.resume_at);
+  io.vu64(artifact.bootstrap_executed);
+  io.flags(artifact.quiesced, artifact.oscillation_exit);
+  io.u64(artifact.cut_hash);
+  // The snapshot is standalone by construction (encode refuses deltas), so
+  // baseline_id does not travel and decodes as 0.
+  io.vu64(artifact.snap.id);
+  io.vu64(artifact.snap.taken_at);
+  io.map(artifact.snap.nodes, [&](auto& node, auto& checkpoint) {
+    io.vu32(node);
+    io.u64(checkpoint.hash);
+    io.bytes(checkpoint.state);
+    if constexpr (Io::kDecoding) checkpoint.node = node;
+  });
+  io.map(artifact.snap.channels, [&](auto& channel, auto& frames) {
+    io.vu32(channel.from);
+    io.vu32(channel.to);
+    io.seq(frames, [&](auto& frame) { io.bytes(frame); });
+  });
 }
 
-[[nodiscard]] util::Result<LiveStateArtifact> decode_artifact(util::ByteReader& reader) {
-  LiveStateArtifact artifact;
-  auto scenario = reader.str();
-  if (!scenario) return scenario.error();
-  artifact.key.scenario = std::move(scenario).take();
-  auto implementation = reader.str();
-  if (!implementation) return implementation.error();
-  artifact.key.implementation = std::move(implementation).take();
-  auto seed = reader.u64();
-  if (!seed) return seed.error();
-  artifact.key.seed = seed.value();
-  auto bootstrap_events = reader.vu64();
-  if (!bootstrap_events) return bootstrap_events.error();
-  artifact.key.bootstrap_events = bootstrap_events.value();
-  auto flip_exit = reader.vu32();
-  if (!flip_exit) return flip_exit.error();
-  artifact.key.flip_exit = flip_exit.value();
-  auto resume_at = reader.vu64();
-  if (!resume_at) return resume_at.error();
-  artifact.resume_at = resume_at.value();
-  auto bootstrap_executed = reader.vu64();
-  if (!bootstrap_executed) return bootstrap_executed.error();
-  artifact.bootstrap_executed = bootstrap_executed.value();
-  auto flags = reader.u8();
-  if (!flags) return flags.error();
-  if ((flags.value() & ~kKnownFlags) != 0) {
-    return util::make_error("svc.store.malformed", "undefined artifact flag bits");
-  }
-  artifact.quiesced = (flags.value() & kFlagQuiesced) != 0;
-  artifact.oscillation_exit = (flags.value() & kFlagOscillationExit) != 0;
-  auto cut_hash = reader.u64();
-  if (!cut_hash) return cut_hash.error();
-  artifact.cut_hash = cut_hash.value();
-  auto id = reader.vu64();
-  if (!id) return id.error();
-  artifact.snap.id = id.value();
-  artifact.snap.baseline_id = 0;  // standalone by construction (encode refuses deltas)
-  auto taken_at = reader.vu64();
-  if (!taken_at) return taken_at.error();
-  artifact.snap.taken_at = taken_at.value();
-  auto node_count = reader.vu64();
-  if (!node_count) return node_count.error();
-  for (std::uint64_t i = 0; i < node_count.value(); ++i) {
-    auto node = reader.vu32();
-    if (!node) return node.error();
-    snapshot::Checkpoint checkpoint;
-    checkpoint.node = node.value();
-    auto hash = reader.u64();
-    if (!hash) return hash.error();
-    checkpoint.hash = hash.value();
-    auto state_len = reader.vu64();
-    if (!state_len) return state_len.error();
-    auto state = reader.raw(state_len.value());
-    if (!state) return state.error();
-    checkpoint.state.assign(state.value().begin(), state.value().end());
-    artifact.snap.nodes.emplace(node.value(), std::move(checkpoint));
-  }
-  auto channel_count = reader.vu64();
-  if (!channel_count) return channel_count.error();
-  for (std::uint64_t i = 0; i < channel_count.value(); ++i) {
-    auto from = reader.vu32();
-    if (!from) return from.error();
-    auto to = reader.vu32();
-    if (!to) return to.error();
-    auto frame_count = reader.vu64();
-    if (!frame_count) return frame_count.error();
-    std::vector<util::Bytes> frames;
-    frames.reserve(frame_count.value());
-    for (std::uint64_t f = 0; f < frame_count.value(); ++f) {
-      auto frame_len = reader.vu64();
-      if (!frame_len) return frame_len.error();
-      auto frame = reader.raw(frame_len.value());
-      if (!frame) return frame.error();
-      frames.emplace_back(frame.value().begin(), frame.value().end());
-    }
-    artifact.snap.channels.emplace(
-        snapshot::ChannelKey{from.value(), to.value()}, std::move(frames));
-  }
-  // The checksum guards the bytes; this guards the semantics — a payload
-  // regenerated inconsistently (right envelope, wrong snapshot) must fail
-  // typed rather than resume a wrong live state.
-  if (artifact.snap.cut_hash() != artifact.cut_hash) {
-    return util::make_error("svc.store.hash_mismatch",
-                            "snapshot cut hash does not match the recorded one");
-  }
-  return artifact;
+// The file body. `Artifacts` is the decoded vector or, on encode, the
+// canonical key-sorted view of the caller's artifacts.
+template <class Io, class Artifacts, class Keys>
+void body_fields(Io& io, Artifacts& live_states, Keys& unsat_keys) {
+  io.seq(live_states, [&](auto& artifact) { fields(io, artifact); });
+  io.seq(unsat_keys, [&](auto& key) { io.u64(key); });
 }
 
 }  // namespace
@@ -174,79 +92,38 @@ util::Result<util::Bytes> ArtifactStore::encode(const StoreContents& contents) {
 
   // Canonicalize: equal contents must encode to equal bytes regardless of
   // harvest order (the cold-vs-warm receipt diffs store files).
-  std::vector<const LiveStateArtifact*> ordered;
-  ordered.reserve(contents.live_states.size());
-  for (const LiveStateArtifact& artifact : contents.live_states) {
-    ordered.push_back(&artifact);
-  }
+  std::vector<std::reference_wrapper<const LiveStateArtifact>> ordered(
+      contents.live_states.begin(), contents.live_states.end());
   std::sort(ordered.begin(), ordered.end(),
-            [](const LiveStateArtifact* a, const LiveStateArtifact* b) {
-              return a->key < b->key;
-            });
+            [](const LiveStateArtifact& a, const LiveStateArtifact& b) { return a.key < b.key; });
   std::vector<std::uint64_t> unsat = contents.unsat_keys;
   std::sort(unsat.begin(), unsat.end());
   unsat.erase(std::unique(unsat.begin(), unsat.end()), unsat.end());
 
-  util::ByteWriter payload;
-  payload.vu64(ordered.size());
-  for (const LiveStateArtifact* artifact : ordered) encode_artifact(payload, *artifact);
-  payload.vu64(unsat.size());
-  for (const std::uint64_t key : unsat) payload.u64(key);
-
-  util::ByteWriter out(payload.size() + 16);
-  out.raw(std::span<const std::uint8_t>(
-      reinterpret_cast<const std::uint8_t*>(kMagic), sizeof(kMagic)));
-  out.u8(kVersion);
-  out.u64(util::fnv1a(payload.span()));
-  out.raw(payload.span());
-  return std::move(out).take();
+  util::ByteWriter body;
+  util::FieldEncoder io(body);
+  body_fields(io, ordered, unsat);
+  return kEnvelope.seal(body.span());
 }
 
 util::Result<StoreContents> ArtifactStore::decode(std::span<const std::uint8_t> data) {
-  util::ByteReader reader(data);
-  auto magic = reader.raw(sizeof(kMagic));
-  if (!magic) return magic.error();
-  if (!std::equal(magic.value().begin(), magic.value().end(),
-                  reinterpret_cast<const std::uint8_t*>(kMagic))) {
-    return util::make_error("svc.store.bad_magic", "not an artifact store file");
-  }
-  auto version = reader.u8();
-  if (!version) return version.error();
-  if (version.value() != kVersion) {
-    return util::make_error("svc.store.bad_version",
-                            "unknown store version " + std::to_string(version.value()));
-  }
-  auto checksum = reader.u64();
-  if (!checksum) return checksum.error();
-  // Verify BEFORE parsing: every corrupted or truncated payload byte is
-  // caught here deterministically, so the parser below only ever sees what
-  // the encoder wrote.
-  const std::span<const std::uint8_t> payload = data.subspan(reader.position());
-  if (util::fnv1a(payload) != checksum.value()) {
-    return util::make_error("svc.store.checksum_mismatch",
-                            "payload checksum does not match");
-  }
-
+  auto body = kEnvelope.open(data);
+  if (!body) return body.error();
+  util::ByteReader reader(body.value());
+  util::FieldDecoder io(reader, "svc.store.malformed");
   StoreContents contents;
-  auto artifact_count = reader.vu64();
-  if (!artifact_count) return artifact_count.error();
-  for (std::uint64_t i = 0; i < artifact_count.value(); ++i) {
-    auto artifact = decode_artifact(reader);
-    if (!artifact) return artifact.error();
-    contents.live_states.push_back(std::move(artifact).take());
+  body_fields(io, contents.live_states, contents.unsat_keys);
+  if (const util::Status status = io.finish("svc.store.trailing_bytes"); !status.ok()) {
+    return status.error();
   }
-  auto unsat_count = reader.vu64();
-  if (!unsat_count) return unsat_count.error();
-  contents.unsat_keys.reserve(unsat_count.value());
-  for (std::uint64_t i = 0; i < unsat_count.value(); ++i) {
-    auto key = reader.u64();
-    if (!key) return key.error();
-    contents.unsat_keys.push_back(key.value());
-  }
-  if (!reader.exhausted()) {
-    return util::make_error("svc.store.trailing_bytes",
-                            std::to_string(reader.remaining()) +
-                                " byte(s) after the payload");
+  // The checksum guards the bytes; this guards the semantics — a payload
+  // regenerated inconsistently (right envelope, wrong snapshot) must fail
+  // typed rather than resume a wrong live state.
+  for (const LiveStateArtifact& artifact : contents.live_states) {
+    if (artifact.snap.cut_hash() != artifact.cut_hash) {
+      return util::make_error("svc.store.hash_mismatch",
+                              "snapshot cut hash does not match the recorded one");
+    }
   }
   return contents;
 }

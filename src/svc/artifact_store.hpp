@@ -77,9 +77,10 @@ struct StoreContents {
 
 class ArtifactStore {
  public:
-  /// v1 wire format: "DSVC" magic, version byte, u64 FNV-1a checksum over
-  /// the payload, payload. The checksum is verified BEFORE any payload
-  /// parsing, so every single-byte corruption is detected deterministically.
+  /// v1 wire format: the shared util::Envelope ("DSVC" magic, version
+  /// byte, u64 FNV-1a checksum over the payload, payload). The checksum is
+  /// verified BEFORE any payload parsing, so every single-byte corruption
+  /// is detected deterministically.
   static constexpr char kMagic[4] = {'D', 'S', 'V', 'C'};
   static constexpr std::uint8_t kVersion = 1;
 

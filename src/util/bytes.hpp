@@ -99,13 +99,6 @@ class ByteReader {
     if (remaining() < 1) return truncated("u8");
     return data_[pos_++];
   }
-  /// Looks at the next byte without consuming it — the checkpoint decoder
-  /// dispatches on the format-version byte this way before handing the
-  /// stream to the matching parser.
-  [[nodiscard]] Result<std::uint8_t> peek_u8() const noexcept {
-    if (remaining() < 1) return truncated("peek_u8");
-    return data_[pos_];
-  }
   [[nodiscard]] Result<std::uint16_t> u16() noexcept {
     if (remaining() < 2) return truncated("u16");
     const std::uint16_t v = static_cast<std::uint16_t>(

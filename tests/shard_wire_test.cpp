@@ -15,8 +15,11 @@
 namespace dice::shard {
 namespace {
 
-[[nodiscard]] WireCampaignSpec make_spec() {
-  explore::CampaignOptions options;
+[[nodiscard]] JobSpec make_job() {
+  JobSpec job;
+  job.shard_id = 3;
+  job.scenario_set = "topology27";
+  explore::CampaignOptions& options = job.campaign;
   options.strategies = {explore::StrategyKind::kGrammar, explore::StrategyKind::kConcolic};
   options.determinism.seeds = {1, 7, 0xffff'ffff'ffff'ffffull};
   options.determinism.implementations = {"", "fsm"};
@@ -29,13 +32,6 @@ namespace {
   options.parallelism.workers = 4;
   options.parallelism.nested = false;
   options.caching.share_solver_cache = true;
-  return WireCampaignSpec::from_options("topology27", options);
-}
-
-[[nodiscard]] JobSpec make_job() {
-  JobSpec job;
-  job.shard_id = 3;
-  job.campaign = make_spec();
   job.cells = {0, 2, 4, 11};
   job.unsat_seed = {0xdead, 0xbeef};
   return job;
@@ -89,14 +85,20 @@ TEST(ShardWire, JobRoundTripsAndIsCanonical) {
   EXPECT_EQ(encode_job(*round), bytes);
 }
 
-TEST(ShardWire, SpecOptionLoweringRoundTrips) {
-  // from_options -> wire -> to_options -> from_options must be a fixed
-  // point: the worker's rebuilt campaign carries the identical
-  // determinism-relevant knobs.
-  const WireCampaignSpec spec = make_spec();
-  const WireCampaignSpec relowered =
-      WireCampaignSpec::from_options(spec.scenario_set, spec.to_options());
-  EXPECT_EQ(relowered, spec);
+TEST(ShardWire, JobLeavesProcessLocalFieldsUnset) {
+  // Only the wire fields travel: a job built from options that point at
+  // process-local objects decodes with those pointers null and no deadline.
+  const std::vector<std::uint64_t> unsat_seed{1, 2};
+  JobSpec job = make_job();
+  job.campaign.caching.unsat_seed = &unsat_seed;
+  job.campaign.caching.live_cache_max_entries = 3;
+  job.campaign.telemetry.progress_every_cells = 5;
+  job.campaign.deadline = explore::StopToken::Clock::now();
+  const util::Bytes bytes = encode_job(job);
+  EXPECT_EQ(bytes, encode_job(make_job()));
+  auto decoded = decode_message(bytes);
+  ASSERT_TRUE(decoded.ok()) << decoded.error().detail;
+  EXPECT_EQ(std::get<JobSpec>(decoded.value()), make_job());
 }
 
 TEST(ShardWire, CellResultRoundTripsAndIsCanonical) {
@@ -240,6 +242,25 @@ TEST(ShardWire, SpecificCorruptionsYieldSpecificCodes) {
   forged.u64(util::fnv1a(std::span<const std::uint8_t>(body, 1)));
   forged.u8(0x66);
   EXPECT_EQ(decode_message(forged.span()).error().code, "shard.wire.tag");
+}
+
+TEST(ShardWire, ForgedJobCountFailsTyped) {
+  // FNV-1a is not a MAC: a forged body with a valid checksum reaches the
+  // field parser, whose counts must not drive an allocation.
+  util::ByteWriter body;
+  body.u8(static_cast<std::uint8_t>(FrameTag::kJob));
+  body.u64(0);                       // shard id
+  body.str("topology27");            // scenario set
+  body.vu64(std::uint64_t{1} << 61);  // strategy count
+  util::ByteWriter forged;
+  forged.raw(std::span<const std::uint8_t>(
+      reinterpret_cast<const std::uint8_t*>(kMagic), sizeof(kMagic)));
+  forged.u8(kVersion);
+  forged.u64(util::fnv1a(body.span()));
+  forged.raw(body.span());
+  auto decoded = decode_message(forged.span());
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.error().code, "bytes.truncated");
 }
 
 TEST(ShardWire, V1FrameFailsWithVersionCode) {

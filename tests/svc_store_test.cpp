@@ -87,6 +87,7 @@ TEST(ArtifactStoreTest, EncodedBytesArePinned) {
   auto encoded = ArtifactStore::encode(make_contents());
   ASSERT_TRUE(encoded.ok());
   EXPECT_EQ(util::fnv1a(encoded.value()), 0xeb21e4df9fc6234bull);
+  static_assert(ArtifactStore::kVersion == 1);
 }
 
 TEST(ArtifactStoreTest, EqualContentsEncodeToEqualBytes) {
@@ -171,6 +172,51 @@ TEST(ArtifactStoreTest, EnvelopeErrorsAreDistinguished) {
   trailing.push_back(0x00);  // widens the checksummed span -> mismatch
   EXPECT_EQ(ArtifactStore::decode(trailing).error().code,
             "svc.store.checksum_mismatch");
+}
+
+// FNV-1a is not a MAC: a forged body with a valid checksum reaches the
+// parser, whose counts must fail typed rather than drive an allocation.
+[[nodiscard]] util::Bytes forge_store(const util::ByteWriter& body) {
+  util::ByteWriter out;
+  out.raw(std::span<const std::uint8_t>(
+      reinterpret_cast<const std::uint8_t*>(ArtifactStore::kMagic),
+      sizeof(ArtifactStore::kMagic)));
+  out.u8(ArtifactStore::kVersion);
+  out.u64(util::fnv1a(body.span()));
+  out.raw(body.span());
+  return std::move(out).take();
+}
+
+TEST(ArtifactStoreTest, ForgedCountsFailTyped) {
+  constexpr std::uint64_t kHuge = std::uint64_t{1} << 61;
+  util::ByteWriter unsat;
+  unsat.vu64(0);      // artifacts
+  unsat.vu64(kHuge);  // unsat keys
+  auto decoded = ArtifactStore::decode(forge_store(unsat));
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.error().code, "bytes.truncated");
+
+  util::ByteWriter frames;
+  frames.vu64(1);       // artifacts
+  frames.str("ring6");  // key.scenario
+  frames.str("");       // key.implementation
+  frames.u64(1);        // key.seed
+  frames.vu64(1);       // key.bootstrap_events
+  frames.vu32(0);       // key.flip_exit
+  frames.vu64(0);       // resume_at
+  frames.vu64(0);       // bootstrap_executed
+  frames.u8(0);         // flags
+  frames.u64(0);        // cut_hash
+  frames.vu64(1);       // snap.id
+  frames.vu64(0);       // snap.taken_at
+  frames.vu64(0);       // nodes
+  frames.vu64(1);       // channels
+  frames.vu32(0);       // channel.from
+  frames.vu32(1);       // channel.to
+  frames.vu64(kHuge);   // frames on the channel
+  decoded = ArtifactStore::decode(forge_store(frames));
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.error().code, "bytes.truncated");
 }
 
 TEST(ArtifactStoreTest, SaveLoadRoundtripAndMissingFile) {

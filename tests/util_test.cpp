@@ -204,15 +204,6 @@ TEST(BytesTest, VarintOverlongRejected) {
   EXPECT_EQ(rm.vu32().value(), UINT32_MAX);
 }
 
-TEST(BytesTest, PeekDoesNotConsume) {
-  const Bytes data{0x42};
-  ByteReader r(data);
-  EXPECT_EQ(r.peek_u8().value(), 0x42);
-  EXPECT_EQ(r.remaining(), 1u);
-  EXPECT_EQ(r.u8().value(), 0x42);
-  EXPECT_FALSE(r.peek_u8().ok());
-}
-
 TEST(BytesTest, SkipBounds) {
   const Bytes data{1, 2, 3};
   ByteReader r(data);
