@@ -200,7 +200,7 @@ std::shared_ptr<snapshot::PreparedLiveState> System::capture_live_state(
   if (id == 0) return nullptr;
   // Copy the raw cut out before the store drops it: the encoded form is
   // what svc::ArtifactStore persists across process restarts (the decoded
-  // form below is bound to THIS process's router objects).
+  // form below lives only in this process).
   std::shared_ptr<const snapshot::Snapshot> raw;
   if (const snapshot::Snapshot* snap = store_.find(id)) {
     raw = std::make_shared<const snapshot::Snapshot>(*snap);
@@ -211,8 +211,7 @@ std::shared_ptr<snapshot::PreparedLiveState> System::capture_live_state(
   // The shared_ptr keeps the decoded state alive for every cache holder.
   store_.erase(id);
   if (prepared == nullptr) return nullptr;
-  auto state = std::make_shared<snapshot::PreparedLiveState>();
-  state->snapshot = std::move(prepared);
+  auto state = std::make_shared<snapshot::PreparedLiveState>(std::move(prepared));
   state->raw = std::move(raw);
   state->resume_at = sim_.now();
   state->bootstrap_executed = bootstrap_executed;
@@ -220,12 +219,9 @@ std::shared_ptr<snapshot::PreparedLiveState> System::capture_live_state(
 }
 
 util::Status System::resume_from(const snapshot::PreparedLiveState& state) {
-  // Decoded form when available (shared across many resumes); otherwise the
-  // raw cut through a one-shot restore per node (a warm-restarted daemon's
-  // first resume, before the round-end promotion decodes the entry).
-  if (state.snapshot != nullptr) return reset_from(*state.snapshot, state.resume_at);
-  if (state.raw != nullptr) return reset_from_raw(*state.raw, state.resume_at);
-  return util::make_error("system.resume.empty_state");
+  auto decoded = state.decoded(node_resolver());
+  if (!decoded) return decoded.error();
+  return reset_from(*decoded.value(), state.resume_at);
 }
 
 void System::inject_message(sim::NodeId from, sim::NodeId target, util::Bytes message) {

@@ -122,12 +122,13 @@ class System {
                                         sim::Time resume_at = 0);
 
   /// Raw-cut wrapper over reset_from: decodes `snap` into a temporary
-  /// PreparedSnapshot (one parse per node, no baseline) and resets from it.
-  /// This is the warm-restart path: a daemon resuming a persisted cut
-  /// restores it exactly once. The decode is the only per-route cost —
-  /// apply shares the decoded RIB tables (copy-on-write, bgp/rib.hpp),
-  /// which the router then owns alone once the temporary is dropped.
-  /// Delta-encoded cuts (kCheckpointSameAsBaseline envelopes) fail with
+  /// PreparedSnapshot (one parse per node, no baseline) and resets from it,
+  /// for a cut restored exactly once. The decode is the only per-route
+  /// cost — apply shares the decoded RIB tables (copy-on-write,
+  /// bgp/rib.hpp), which the router then owns alone once the temporary is
+  /// dropped. A live state resumes through resume_from instead, which keeps
+  /// its decode for every later resume. Delta-encoded cuts
+  /// (kCheckpointSameAsBaseline envelopes) fail with
   /// `prepared.delta.baseline_mismatch` — persisted captures are always
   /// standalone (live_state.hpp).
   [[nodiscard]] util::Status reset_from_raw(const snapshot::Snapshot& snap,
@@ -145,9 +146,12 @@ class System {
       sim::NodeId initiator = 0);
 
   /// Re-seeds THIS instance as a *live* system from a captured bootstrap
-  /// state: reset_from the embedded cut, with the clock resumed at the
-  /// donor's bootstrap end. Valid on a freshly constructed (never started)
-  /// System — the LiveStateCache fast path that replaces start()+converge.
+  /// state: reset_from the state's decoded cut (decoded against this
+  /// System's routers if no resume has decoded it yet), with the clock
+  /// resumed at the donor's bootstrap end. Valid on a freshly constructed
+  /// (never started) System — the LiveStateCache fast path that replaces
+  /// start()+converge. A cut that no longer decodes fails typed and leaves
+  /// this System untouched.
   [[nodiscard]] util::Status resume_from(const snapshot::PreparedLiveState& state);
 
   /// Injects a raw protocol message into `target` as if sent by `from`

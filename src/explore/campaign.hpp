@@ -317,7 +317,7 @@ class Campaign {
   [[nodiscard]] std::size_t cell_count() const noexcept { return matrix_.cell_count(); }
   [[nodiscard]] const CampaignOptions& options() const noexcept { return options_; }
   /// The bootstrap cache this campaign consults (owned unless an external
-  /// one was supplied) — soak loops may trim() it between runs.
+  /// one was supplied) — soak loops may clear() it between runs.
   [[nodiscard]] LiveStateCache& live_cache() noexcept { return *live_cache_; }
   [[nodiscard]] ExplorePool& pool() noexcept { return *pool_; }
   /// The matrix underneath — svc::SoakService maps its prototypes back to

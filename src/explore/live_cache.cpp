@@ -98,23 +98,6 @@ std::vector<LiveStateCache::ResolvedEntry> LiveStateCache::resolved_entries() co
   return out;
 }
 
-bool LiveStateCache::replace(const Key& key,
-                             std::shared_ptr<const snapshot::PreparedLiveState> state) {
-  if (state == nullptr) return false;
-  const std::lock_guard<std::mutex> lock(mutex_);
-  auto it = entries_.find(key);
-  if (it == entries_.end()) return false;
-  if (!it->second->resolved.load(std::memory_order_acquire)) return false;
-  // Fresh Entry, born resolved: the old one stays immutable for anyone who
-  // grabbed its shared_ptr before this swap.
-  auto fresh = std::make_shared<Entry>();
-  fresh->state = std::move(state);
-  fresh->resolved.store(true, std::memory_order_release);
-  fresh->last_used = it->second->last_used;  // promotion is not a use
-  it->second = std::move(fresh);
-  return true;
-}
-
 void LiveStateCache::evict_locked(std::size_t max) {
   while (entries_.size() > max) {
     auto victim = entries_.end();
@@ -132,11 +115,6 @@ void LiveStateCache::evict_locked(std::size_t max) {
     ++stats_.evictions;
     live_cache_metrics().evictions.add();
   }
-}
-
-void LiveStateCache::trim(std::size_t keep) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  evict_locked(keep);
 }
 
 void LiveStateCache::clear() {

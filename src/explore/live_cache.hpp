@@ -15,9 +15,9 @@
 // then wake to the published state. Workers on different keys never
 // contend beyond the map lock.
 //
-// Lifetime: entries and states are shared_ptr-published, so trim/clear may
-// drop the cache's reference at any time — holders (including workers
-// still blocked on a latch) keep theirs alive until they are done,
+// Lifetime: entries and states are shared_ptr-published, so eviction and
+// clear() may drop the cache's reference at any time — holders (including
+// workers still blocked on a latch) keep theirs alive until they are done,
 // mirroring the SnapshotStore prepared-entry contract.
 //
 // Uncacheable keys: a compute may return nullptr (non-quiescent bootstrap —
@@ -78,7 +78,7 @@ class LiveStateCache {
     std::uint64_t hits = 0;         ///< served from a published state
     std::uint64_t misses = 0;       ///< this caller ran the compute
     std::uint64_t uncacheable = 0;  ///< lookups resolved to a null (non-quiescent) key
-    std::uint64_t evictions = 0;    ///< entries dropped by the LRU bound or trim()
+    std::uint64_t evictions = 0;    ///< entries dropped by the LRU bound
   };
 
   using Compute = std::function<std::shared_ptr<const snapshot::PreparedLiveState>()>;
@@ -94,7 +94,7 @@ class LiveStateCache {
   [[nodiscard]] Lookup get_or_compute(const Key& key, const Compute& compute);
 
   /// The published state, or nullptr when the key never resolved (or was
-  /// trimmed, or resolved uncacheable). Never blocks on a latch.
+  /// evicted, or resolved uncacheable). Never blocks on a latch.
   [[nodiscard]] std::shared_ptr<const snapshot::PreparedLiveState> find(const Key& key) const;
 
   /// One resolved, non-null entry: the key and its published state.
@@ -109,26 +109,9 @@ class LiveStateCache {
   /// recency: harvesting for persistence must not distort eviction.
   [[nodiscard]] std::vector<ResolvedEntry> resolved_entries() const;
 
-  /// Atomically swaps `key`'s published state for `state` (non-null). The
-  /// old Entry object is never mutated — resolved entries are published
-  /// immutable and read latch-free, so the swap installs a whole new
-  /// resolved Entry in the map slot; holders of the old state keep it
-  /// alive. No-op when the key is absent (trimmed meanwhile) or its compute
-  /// is still in flight (the computing worker will publish its own result;
-  /// racing it would lose an in-flight latch queue). Returns true when the
-  /// swap happened. Used by svc::SoakService to promote raw-only primed
-  /// entries to their decoded form after the first warm round.
-  bool replace(const Key& key, std::shared_ptr<const snapshot::PreparedLiveState> state);
-
   /// Drops every entry. Holders of returned states (and workers blocked on
   /// a latch) are unaffected; the next lookup per key recomputes.
   void clear();
-
-  /// Drops least-recently-used resolved entries until at most `keep`
-  /// remain (mirrors SnapshotStore::trim). Safe while entries are held —
-  /// shared_ptr publication means a trim never invalidates a holder, and
-  /// in-flight computes are skipped entirely.
-  void trim(std::size_t keep);
 
   [[nodiscard]] std::size_t size() const;
   [[nodiscard]] std::size_t max_entries() const noexcept { return max_entries_; }

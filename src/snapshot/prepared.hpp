@@ -8,8 +8,10 @@
 // frame schedule. It is immutable after build and published through the
 // SnapshotStore as shared_ptr<const>, so any number of workers can restore
 // clones from it concurrently while the store trims older entries. It is
-// also the only restore input: System::reset_from applies it, and
-// System::reset_from_raw builds a temporary one from a raw cut.
+// also the only restore input: System::reset_from applies it, a live-state
+// resume decodes one once into the state's shared slot
+// (PreparedLiveState::decoded), and System::reset_from_raw builds a
+// temporary one from a raw cut.
 #pragma once
 
 #include <cstdint>

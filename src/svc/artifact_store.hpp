@@ -8,7 +8,7 @@
 // LiveStateCache closes it across cells: it serializes every harvested
 // PreparedLiveState (as its raw, standalone snapshot plus the resume
 // metadata) together with the SolverCache's proven-UNSAT memo, and a fresh
-// daemon re-decodes them against its own routers before the first round.
+// daemon decodes each cut against its own routers on its first resume.
 //
 // Only artifacts that are sound to replay are persisted:
 //  * live states are raw Chandy-Lamport cuts re-decoded through the exact

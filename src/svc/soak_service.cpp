@@ -5,14 +5,12 @@
 #include <cstdio>
 #include <fstream>
 #include <iterator>
-#include <map>
 
-#include "dice/system.hpp"
 #include "obs/metrics.hpp"
 #include "obs/names.hpp"
 #include "shard/coordinator.hpp"
 #include "shard/scenario_set.hpp"
-#include "snapshot/prepared.hpp"
+#include "snapshot/live_state.hpp"
 #include "util/hash.hpp"
 #include "util/log.hpp"
 
@@ -239,16 +237,13 @@ std::size_t SoakService::prime_cache_locked() {
   const explore::ScenarioMatrix& matrix = campaign_->matrix();
   const auto& prototypes = matrix.prototypes();
   std::size_t primed = 0;
-  // Raw-only priming: the entry carries just the persisted cut, no decoded
-  // form. The first resume of a primed key takes System::reset_from_raw's
-  // one decode per node (apply shares the decoded RIB tables instead of
-  // copying them), which is what keeps restart-to-explored cheap;
-  // promote_decoded_locked() builds
-  // the shareable decoded form AFTER round 1, off the restart path, so
-  // rounds 2+ resume without re-parsing. An artifact that later turns out
-  // undecodable (topology drifted under the same key) just fails its
-  // resume and that cell falls back to a fresh bootstrap — same net effect
-  // as not priming it, without paying a validation decode up front.
+  // The entry carries just the persisted cut: no decode at boot. The first
+  // resume of a primed key decodes it once into the state's shared slot
+  // (PreparedLiveState::decoded), and every later resume reuses that. An
+  // artifact that turns out undecodable (topology drifted under the same
+  // key) just fails its resume and that cell falls back to a fresh
+  // bootstrap — same net effect as not priming it, without paying a
+  // validation decode up front.
   for (const LiveStateArtifact& artifact : contents_.live_states) {
     const std::size_t proto = prototype_index(matrix, artifact.key);
     if (proto == kNoPrototype) continue;  // options no longer produce this key
@@ -269,48 +264,6 @@ std::size_t SoakService::prime_cache_locked() {
     if (!lookup.hit) ++primed;
   }
   return primed;
-}
-
-void SoakService::promote_decoded_locked() {
-  // Raw-only entries (primed from the store) served their first resume via
-  // the one-shot raw restore; every LATER round resumes the same key
-  // again, and for those the decode-once shareable form wins. Build it here
-  // — round end, restart latency already banked — and swap it in. The raw
-  // cut rides along so harvest keeps persisting the entry.
-  const explore::ScenarioMatrix& matrix = campaign_->matrix();
-  const auto& prototypes = matrix.prototypes();
-  std::map<std::size_t, std::unique_ptr<core::System>> resolvers;
-  for (const explore::LiveStateCache::ResolvedEntry& entry :
-       cache_.resolved_entries()) {
-    if (entry.state == nullptr) continue;
-    if (entry.state->snapshot != nullptr) continue;  // already decoded
-    if (entry.state->raw == nullptr) continue;
-    std::size_t proto = kNoPrototype;
-    for (std::size_t i = 0; i < prototypes.size(); ++i) {
-      if (static_cast<const void*>(prototypes[i].get()) ==
-          entry.key.prototype.get()) {
-        proto = i;
-        break;
-      }
-    }
-    if (proto == kNoPrototype) continue;
-    // One resolver System per prototype: never started, only consulted for
-    // its routers' checkpoint codecs while decoding raw cuts.
-    std::unique_ptr<core::System>& resolver = resolvers[proto];
-    if (resolver == nullptr) {
-      resolver = std::make_unique<core::System>(prototypes[proto]);
-    }
-    core::System* sys = resolver.get();
-    auto prepared = snapshot::PreparedSnapshot::build(
-        *entry.state->raw,
-        [sys](sim::NodeId node) -> const snapshot::Checkpointable* {
-          return node < sys->size() ? &sys->router(node) : nullptr;
-        });
-    if (!prepared.ok()) continue;  // undecodable: keep the raw-only entry
-    auto promoted = std::make_shared<snapshot::PreparedLiveState>(*entry.state);
-    promoted->snapshot = std::move(prepared).take();
-    (void)cache_.replace(entry.key, std::move(promoted));
-  }
 }
 
 void SoakService::harvest_locked(const explore::MatrixResult& result) {
@@ -467,7 +420,6 @@ RoundSummary SoakService::run_round() {
     }
   }
   harvest_locked(result);
-  promote_decoded_locked();
   ++report_.rounds;
   report_.warm_starts += summary.cells_from_cache;
   report_.faults = ledger_.snapshot_sorted();

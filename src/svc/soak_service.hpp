@@ -126,7 +126,7 @@ struct SoakReport {
   std::uint64_t rounds = 0;       ///< rounds completed (including stopped ones)
   std::uint64_t knob_swaps = 0;   ///< options swaps applied at round boundaries
   std::uint64_t warm_starts = 0;  ///< cumulative cells_from_cache over all rounds
-  std::size_t primed_from_store = 0;  ///< artifacts loaded+decoded from the store
+  std::size_t primed_from_store = 0;  ///< artifacts loaded from the store and primed
   bool warm_started = false;          ///< the store primed at least one artifact
   std::vector<RoundSummary> round_summaries;  ///< oldest first (bounded; see cap)
   std::uint64_t round_summaries_dropped = 0;  ///< oldest summaries beyond the cap
@@ -218,18 +218,14 @@ class SoakService {
   void apply_pending_swap_locked();
   /// Rebuilds campaign_ from `options` with the service's cache wiring.
   void build_campaign_locked(const explore::CampaignOptions& options);
-  /// Publishes contents_' artifacts into the bootstrap cache as raw-only
-  /// entries (no decode — the first resume per key takes the one-shot raw
-  /// restore). Returns how many primed. Caller holds mutex_.
+  /// Publishes contents_' artifacts into the bootstrap cache as states
+  /// holding only their raw cut (no decode — the first resume per key
+  /// decodes it for every later one). Returns how many primed. Caller
+  /// holds mutex_.
   std::size_t prime_cache_locked();
   /// Folds a finished round's cache/solver state back into contents_.
   /// Caller holds mutex_.
   void harvest_locked(const explore::MatrixResult& result);
-  /// Decodes any still-raw-only cache entries into their shareable
-  /// PreparedSnapshot form and swaps them in (LiveStateCache::replace), so
-  /// rounds 2+ resume without re-parsing. Runs at round end, off the
-  /// restart-critical path. Caller holds mutex_.
-  void promote_decoded_locked();
   [[nodiscard]] util::Status persist_locked();
 
   std::vector<explore::ScenarioSpec> scenarios_;

@@ -461,7 +461,7 @@ TEST(CampaignSoakTest, OwnedLiveCacheServesRepeatRuns) {
 
   // The owned cache is reachable for soak-loop maintenance.
   EXPECT_EQ(campaign.live_cache().size(), 1u);
-  campaign.live_cache().trim(0);
+  campaign.live_cache().clear();
   EXPECT_EQ(campaign.live_cache().size(), 0u);
 }
 

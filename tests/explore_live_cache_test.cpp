@@ -3,7 +3,8 @@
 // cells that replay bootstrap from scratch, at every worker count, and
 // the fresh run reproduces a pinned fault-set hash. Plus the cache's
 // concurrency contracts: once-latch (one bootstrap per key, ever),
-// trim-while-held lifetimes, and uncacheable-key fallback.
+// evict-while-held lifetimes, uncacheable-key fallback, and one decode per
+// stored cut however many Systems resume it.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,6 +14,7 @@
 #include <thread>
 
 #include "bgp/codec.hpp"
+#include "bgp/router.hpp"
 #include "dice/orchestrator.hpp"
 #include "explore/live_cache.hpp"
 #include "explore/matrix.hpp"
@@ -31,6 +33,17 @@ using core::SystemPrototype;
 // System-level capture/resume receipt
 // ---------------------------------------------------------------------------
 
+/// `state`'s decoded cut, resolved against `system`'s routers.
+[[nodiscard]] std::shared_ptr<const snapshot::PreparedSnapshot> decoded_cut(
+    const snapshot::PreparedLiveState& state, const System& system) {
+  auto decoded =
+      state.decoded([&system](sim::NodeId node) -> const snapshot::Checkpointable* {
+        return node < system.size() ? &system.router(node) : nullptr;
+      });
+  EXPECT_TRUE(decoded.ok());
+  return decoded.ok() ? decoded.value() : nullptr;
+}
+
 TEST(LiveStateCaptureTest, ResumedSystemMatchesDonorStateAndCutHash) {
   auto prototype =
       std::make_shared<const SystemPrototype>(bgp::make_internet({2, 3, 4}));
@@ -39,7 +52,11 @@ TEST(LiveStateCaptureTest, ResumedSystemMatchesDonorStateAndCutHash) {
   ASSERT_TRUE(donor.converge());
   const auto state = donor.capture_live_state(/*initiator=*/0);
   ASSERT_NE(state, nullptr);
-  ASSERT_NE(state->snapshot, nullptr);
+  ASSERT_NE(state->raw, nullptr);
+  // The capture carries its decoded cut: reading it decodes nothing.
+  const std::uint64_t decodes_before = bgp::checkpoint_decode_count();
+  ASSERT_NE(decoded_cut(*state, donor), nullptr);
+  EXPECT_EQ(bgp::checkpoint_decode_count(), decodes_before);
   EXPECT_GT(state->resume_at, 0u);
   EXPECT_GT(state->bootstrap_executed, 0u);
   // The capture is standalone: its raw cut must not linger in the donor's
@@ -102,8 +119,9 @@ TEST(LiveStateCaptureTest, ResumedSystemChurnLeavesCacheEntryUnchanged) {
   const auto entry =
       cache.get_or_compute(key, [&] { return donor.capture_live_state(0); }).state;
   ASSERT_NE(entry, nullptr);
-  ASSERT_NE(entry->snapshot, nullptr);
-  const std::vector<util::Bytes> before = reencode(prototype, *entry->snapshot);
+  const auto cut = decoded_cut(*entry, donor);
+  ASSERT_NE(cut, nullptr);
+  const std::vector<util::Bytes> before = reencode(prototype, *cut);
 
   System resumed(prototype);
   ASSERT_TRUE(resumed.resume_from(*entry).ok());
@@ -124,7 +142,51 @@ TEST(LiveStateCaptureTest, ResumedSystemChurnLeavesCacheEntryUnchanged) {
 
   const auto after = cache.find(key);
   ASSERT_EQ(after, entry);
-  EXPECT_EQ(reencode(prototype, *after->snapshot), before);
+  EXPECT_EQ(decoded_cut(*after, donor), cut);
+  EXPECT_EQ(reencode(prototype, *cut), before);
+}
+
+TEST(LiveStateCaptureTest, StoredCutDecodesOnceAcrossResumes) {
+  // A state primed from the persistent store carries only its raw cut,
+  // the way svc::SoakService primes it. The first resume decodes it; every
+  // later resume, concurrent or not, shares that decode.
+  auto prototype =
+      std::make_shared<const SystemPrototype>(bgp::make_internet({2, 3, 4}));
+  System donor(prototype);
+  donor.start();
+  ASSERT_TRUE(donor.converge());
+  const auto captured = donor.capture_live_state(/*initiator=*/0);
+  ASSERT_NE(captured, nullptr);
+  ASSERT_NE(captured->raw, nullptr);
+  auto stored = std::make_shared<snapshot::PreparedLiveState>();
+  stored->raw = captured->raw;
+  stored->resume_at = captured->resume_at;
+  stored->bootstrap_executed = captured->bootstrap_executed;
+  stored->quiesced = true;
+
+  std::vector<std::unique_ptr<System>> resumed;
+  for (int i = 0; i < 4; ++i) resumed.push_back(std::make_unique<System>(prototype));
+  const std::uint64_t decodes_before = bgp::checkpoint_decode_count();
+  {
+    std::vector<std::thread> threads;
+    for (int i = 0; i < 2; ++i) {
+      threads.emplace_back(
+          [&, i] { EXPECT_TRUE(resumed[i]->resume_from(*stored).ok()) << "system " << i; });
+    }
+    for (auto& thread : threads) thread.join();
+  }
+  for (int i = 2; i < 4; ++i) {
+    EXPECT_TRUE(resumed[i]->resume_from(*stored).ok()) << "system " << i;
+  }
+  EXPECT_EQ(bgp::checkpoint_decode_count() - decodes_before, captured->raw->nodes.size());
+  for (std::size_t i = 0; i < resumed.size(); ++i) {
+    EXPECT_EQ(resumed[i]->simulator().now(), stored->resume_at);
+    for (std::size_t n = 0; n < donor.size(); ++n) {
+      const sim::NodeId node = static_cast<sim::NodeId>(n);
+      EXPECT_EQ(resumed[i]->router(node).state_hash(), donor.router(node).state_hash())
+          << "system " << i << " node " << n;
+    }
+  }
 }
 
 TEST(BootstrapEarlyExitTest, DisputeWheelBootstrapStopsAtFlipThreshold) {
@@ -319,7 +381,9 @@ TEST(LiveStateCacheTest, LruBoundEvictsLeastRecentlyUsedResolvedEntry) {
   const LiveStateCache::Key second{anchor, 2, 100};
   const LiveStateCache::Key third{anchor, 3, 100};
   (void)cache.get_or_compute(first, make_state(1));
-  (void)cache.get_or_compute(second, make_state(2));
+  // Hold the victim's state across its eviction.
+  const auto held = cache.get_or_compute(second, make_state(2)).state;
+  ASSERT_NE(held, nullptr);
   // Touch `first` so `second` is the LRU victim when `third` arrives.
   EXPECT_NE(cache.find(first), nullptr);
   (void)cache.get_or_compute(third, make_state(3));
@@ -328,34 +392,12 @@ TEST(LiveStateCacheTest, LruBoundEvictsLeastRecentlyUsedResolvedEntry) {
   EXPECT_EQ(cache.find(second), nullptr) << "LRU entry must be the one evicted";
   EXPECT_NE(cache.find(first), nullptr);
   EXPECT_NE(cache.find(third), nullptr);
+  // Eviction only drops the cache's reference: the holder's state stays
+  // valid (the SnapshotStore::trim contract).
+  EXPECT_EQ(held->resume_at, 2u);
+  EXPECT_TRUE(held->quiesced);
   // An evicted key simply recomputes — same contract as clear().
   EXPECT_FALSE(cache.get_or_compute(second, make_state(22)).hit);
-}
-
-TEST(LiveStateCacheTest, TrimDropsLruEntriesAndIsSafeWhileHeld) {
-  LiveStateCache cache;  // default (generous) bound: no automatic eviction
-  const auto anchor = std::make_shared<int>(0);
-  for (std::uint64_t seed = 0; seed < 4; ++seed) {
-    (void)cache.get_or_compute({anchor, seed, 100}, make_state(seed + 1));
-  }
-  // Hold seed 0's state, then make it the most recently used.
-  const auto held = cache.find({anchor, 0, 100});
-  ASSERT_NE(held, nullptr);
-
-  cache.trim(2);
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.stats().evictions, 2u);
-  EXPECT_NE(cache.find({anchor, 0, 100}), nullptr) << "MRU entries survive";
-  EXPECT_NE(cache.find({anchor, 3, 100}), nullptr);
-  EXPECT_EQ(cache.find({anchor, 1, 100}), nullptr);
-  EXPECT_EQ(cache.find({anchor, 2, 100}), nullptr);
-
-  cache.trim(0);
-  EXPECT_EQ(cache.size(), 0u);
-  // The SnapshotStore::trim contract: dropping the cache's reference never
-  // invalidates a holder.
-  EXPECT_EQ(held->resume_at, 1u);
-  EXPECT_TRUE(held->quiesced);
 }
 
 TEST(LiveStateCacheTest, InFlightComputeIsNeverEvicted) {
@@ -363,20 +405,28 @@ TEST(LiveStateCacheTest, InFlightComputeIsNeverEvicted) {
   const auto anchor = std::make_shared<int>(0);
   const LiveStateCache::Key resolved{anchor, 1, 100};
   const LiveStateCache::Key in_flight{anchor, 2, 100};
+  const LiveStateCache::Key nested{anchor, 3, 100};
+  const LiveStateCache::Key newest{anchor, 4, 100};
   (void)cache.get_or_compute(resolved, make_state(1));
   const LiveStateCache::Lookup lookup = cache.get_or_compute(in_flight, [&] {
-    // Inserting `in_flight` already pushed the resolved entry out (bound
-    // 1); a trim-to-zero during the compute must skip the in-flight entry.
-    cache.trim(0);
-    EXPECT_EQ(cache.size(), 1u);
+    // Inserting `in_flight` already pushed the resolved entry out (bound 1).
+    EXPECT_EQ(cache.find(resolved), nullptr);
+    // Two more keys arrive during the compute. When `newest` is inserted,
+    // `in_flight` is the least recently used entry, but eviction must skip
+    // it and take the resolved `nested` instead.
+    (void)cache.get_or_compute(nested, make_state(3));
+    (void)cache.get_or_compute(newest, make_state(4));
+    EXPECT_EQ(cache.size(), 2u);
     return make_state(2)();
   });
   EXPECT_FALSE(lookup.hit);
   ASSERT_NE(lookup.state, nullptr);
-  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.size(), 2u);
   EXPECT_NE(cache.find(in_flight), nullptr) << "the in-flight key survived and resolved";
+  EXPECT_EQ(cache.find(nested), nullptr);
+  EXPECT_NE(cache.find(newest), nullptr);
   EXPECT_EQ(cache.find(resolved), nullptr);
-  EXPECT_EQ(cache.stats().evictions, 1u);
+  EXPECT_EQ(cache.stats().evictions, 2u);
 }
 
 // ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@
 //  * Warm start: a killed-and-restarted daemon primes from the store,
 //    serves round-1 bootstraps from cache, produces the same fault bytes,
 //    and re-saves a byte-identical store file.
-//  * Robustness: a corrupt store cold-starts with a typed error retained.
+//  * Robustness: a corrupt store cold-starts with a typed error retained;
+//    a stored cut that no longer decodes falls back to a fresh bootstrap.
 //  * Knob swaps: invalid options are rejected with the stable
 //    "campaign.options.*" code and change nothing; valid swaps take effect
 //    exactly at the next round boundary.
@@ -160,6 +161,43 @@ TEST(SoakServiceTest, CorruptStoreDegradesToTypedColdStart) {
   EXPECT_EQ(summary.cells_from_cache, 0u);
   auto reloaded = ArtifactStore(store).load();
   EXPECT_TRUE(reloaded.ok());
+  std::remove(store.c_str());
+}
+
+TEST(SoakServiceTest, UndecodableStoredCutFallsBackToAFreshBootstrap) {
+  // A store that loads cleanly can still hold a cut this build no longer
+  // decodes. The resume then fails typed and the cell bootstraps fresh,
+  // exactly as a cold round would.
+  const std::string store = temp_path("svc_soak_undecodable.dsvc");
+  std::uint64_t cold_hash = 0;
+  {
+    SoakService service(receipt_scenarios(), receipt_options(2, store));
+    const RoundSummary cold = service.run_round();
+    EXPECT_EQ(cold.cells_from_cache, 0u);
+    cold_hash = cold.fault_hash;
+    ASSERT_TRUE(service.persist().ok());
+  }
+  auto loaded = ArtifactStore(store).load();
+  ASSERT_TRUE(loaded.ok()) << loaded.error().to_string();
+  StoreContents contents = std::move(loaded).take();
+  ASSERT_EQ(contents.live_states.size(), 1u);
+  snapshot::Snapshot& snap = contents.live_states[0].snap;
+  ASSERT_FALSE(snap.nodes.empty());
+  // The retired fixed-width format's first byte. The recorded hash stays,
+  // so the cut hash still matches and the store still loads.
+  snap.nodes.begin()->second.state = util::Bytes{0x01};
+  ASSERT_EQ(snap.cut_hash(), contents.live_states[0].cut_hash);
+  ASSERT_TRUE(ArtifactStore(store).save(contents).ok());
+
+  SoakService revived(receipt_scenarios(), receipt_options(2, store));
+  EXPECT_TRUE(revived.store_error().code.empty());
+  EXPECT_EQ(revived.report().primed_from_store, 1u);
+  const RoundSummary summary = revived.run_round();
+  EXPECT_EQ(summary.cells_from_cache, 0u);
+  EXPECT_EQ(summary.cells_completed, 1u);
+  EXPECT_FALSE(summary.stopped);
+  EXPECT_EQ(summary.fault_hash, cold_hash);
+  EXPECT_EQ(summary.fault_hash, kReceiptHash);
   std::remove(store.c_str());
 }
 
