@@ -26,6 +26,7 @@
 #include "obs/names.hpp"
 #include "obs/progress.hpp"
 #include "obs/trace.hpp"
+#include "svc/soak_service.hpp"
 #include "util/hash.hpp"
 #include "util/log.hpp"
 
@@ -397,6 +398,76 @@ TEST(ObsPassivityTest, CampaignFaultBytesIdenticalUnderFullTelemetry) {
       }
     }
   }
+}
+
+/// The bench-matrix soak receipt: default_bench_scenarios() x {grammar,
+/// concolic} x seeds {1, 2}, 16 inputs per episode, 4 workers — 20 cells,
+/// 40 distinct faults. Recorded at commit e9570b3.
+constexpr std::uint64_t kBenchMatrixFaultHash = 0x247c9e9d05921a3eULL;
+constexpr std::size_t kBenchMatrixFaults = 40;
+constexpr std::size_t kBenchMatrixCells = 20;
+
+[[nodiscard]] explore::CampaignResult bench_matrix_soak(bool nested, Trace* trace,
+                                                        explore::CampaignObserver* observer) {
+  explore::CampaignOptions options =
+      explore::CampaignOptions::builder()
+          .strategies({explore::StrategyKind::kGrammar, explore::StrategyKind::kConcolic})
+          .seeds({1, 2})
+          .episodes_per_cell(1)
+          .inputs_per_episode(16)
+          .parallelism(4)
+          .nested(nested)
+          .trace(trace)
+          .build()
+          .take();
+  explore::Campaign campaign(explore::default_bench_scenarios(), options);
+  return campaign.run(observer);
+}
+
+TEST(ObsPassivityTest, BenchMatrixSoakPinnedNestedOnAndOffUnderFullTelemetry) {
+  // Cells-only and bare first; then nested with a span trace and a
+  // ProgressReporter attached. Both must land on the recorded fault bytes.
+  const explore::CampaignResult bare =
+      bench_matrix_soak(/*nested=*/false, nullptr, nullptr);
+  Trace trace;
+  ProgressReporter reporter;
+  const explore::CampaignResult traced =
+      bench_matrix_soak(/*nested=*/true, &trace, &reporter);
+
+  for (const explore::CampaignResult* result : {&bare, &traced}) {
+    const bool nested = result == &traced;
+    EXPECT_EQ(svc::fault_set_hash(result->faults), kBenchMatrixFaultHash)
+        << "nested=" << nested;
+    EXPECT_EQ(result->faults.size(), kBenchMatrixFaults) << "nested=" << nested;
+    EXPECT_EQ(result->cells.size(), kBenchMatrixCells) << "nested=" << nested;
+    EXPECT_EQ(result->cells_completed, kBenchMatrixCells) << "nested=" << nested;
+  }
+  if (!kEnabled) return;
+
+  // The trace receipt: nothing dropped, every span canonical (all cells
+  // completed) and in non-decreasing cell order, one Chrome "X" event per
+  // span, and the file writes.
+  trace.finalize();
+  const std::vector<TraceEvent>& events = trace.events();
+  ASSERT_FALSE(events.empty());
+  EXPECT_EQ(trace.dropped(), 0u);
+  EXPECT_EQ(trace.canonical_events(), events.size());
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    EXPECT_GE(events[i].dur_us, 0.0) << "span " << i;
+    if (i > 0 && i < trace.canonical_events()) {
+      EXPECT_LE(events[i - 1].cell, events[i].cell) << "canonical section out of cell order at "
+                                                    << i;
+    }
+  }
+  const std::string json = trace.to_chrome_json();
+  std::size_t complete_events = 0;
+  for (std::size_t at = json.find("\"ph\":\"X\""); at != std::string::npos;
+       at = json.find("\"ph\":\"X\"", at + 1)) {
+    ++complete_events;
+  }
+  EXPECT_EQ(complete_events, events.size());
+  EXPECT_TRUE(trace.write_chrome_json(::testing::TempDir() + "obs_bench_matrix_trace.json"));
+  EXPECT_GT(traced.telemetry.counter_value(names::kClones), 0u);
 }
 
 /// The span signature that must be worker-count-invariant: everything but

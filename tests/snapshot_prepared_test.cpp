@@ -128,7 +128,10 @@ TEST(PreparedSnapshotTest, ArenaReuseIsIndistinguishableFromFreshClone) {
   first->router(0).reset_session(1);  // dirty the arena beyond the snapshot
   first->converge(10'000);
 
+  // A reset applies the already-decoded cut: it decodes no checkpoint.
+  const std::uint64_t decodes_before = bgp::checkpoint_decode_count();
   core::System* second = arena.acquire(prototype, *prepared_b, reused).value_or(nullptr);
+  EXPECT_EQ(bgp::checkpoint_decode_count(), decodes_before);
   ASSERT_NE(second, nullptr);
   EXPECT_TRUE(reused);
   EXPECT_EQ(second, first);  // same instance, reused
