@@ -19,7 +19,6 @@ class Stopwatch {
                                                      start_)
         .count();
   }
-  void reset() { start_ = std::chrono::steady_clock::now(); }
 
  private:
   std::chrono::steady_clock::time_point start_;

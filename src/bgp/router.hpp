@@ -26,7 +26,7 @@ namespace dice::bgp {
 
 /// Total number of checkpoint decodes (BgpRouter::parse calls) performed in
 /// this process — the receipt that the prepared pipeline decodes once, not
-/// once per clone (bench_clone_restore reads the deltas).
+/// once per clone (snapshot_prepared_test reads the deltas).
 [[nodiscard]] std::uint64_t checkpoint_decode_count() noexcept;
 
 /// Typed form of a router checkpoint: everything BgpRouter::checkpoint

@@ -10,7 +10,7 @@ util::Result<std::vector<explore::ScenarioSpec>> resolve_scenario_set(
   if (name == "bench") return explore::default_bench_scenarios();
   if (name == "topology27") {
     // Must stay byte-for-byte the receipt construction (svc_soak_test,
-    // bench_differential): this blueprint is what the pinned
+    // explore_nested_test): this blueprint is what the pinned
     // 63f680b04458c2a9 hash is measured on.
     bgp::SystemBlueprint fig1 = bgp::make_internet();
     bgp::inject_hijack(fig1, /*victim=*/12, /*attacker=*/20, /*more_specific=*/true);

@@ -1,7 +1,7 @@
 // Nested parallelism — the global worker budget. The receipts:
-// (1) the committed fault-set hash 63f680b04458c2a9 (bench_explore_scale's
-// topology27 configuration, unchanged since PR 1) is byte-identical with
-// nested scheduling on and off at workers 1, 2, 4 and 8; (2) a matrix run
+// (1) the committed fault-set hash 63f680b04458c2a9 (the topology27
+// receipt configuration, unchanged since it was first recorded) is
+// byte-identical on shared and owned pools at workers 1, 2, 4 and 8; (2) a matrix run
 // produces identical fault bytes and observer streams with nesting on/off
 // at every worker count; (3) a single-cell campaign actually feeds the
 // whole pool: its episodes' clone batches run as child tasks, every child
@@ -17,7 +17,7 @@
 
 #include "dice/orchestrator.hpp"
 #include "explore/campaign.hpp"
-#include "util/hash.hpp"
+#include "svc/soak_service.hpp"
 
 namespace dice::explore {
 namespace {
@@ -28,17 +28,11 @@ using core::FaultReport;
 using core::GrammarStrategy;
 using core::Orchestrator;
 
-/// The committed cross-PR determinism receipt: bench_explore_scale's
-/// topology27 2-episode grammar run has hashed to this value since PR 1.
+/// The committed determinism receipt: the topology27 2-episode grammar run
+/// has hashed to this value since it was first recorded (docs/DETERMINISM.md).
 constexpr std::uint64_t kTopology27FaultHash = 0x63f680b04458c2a9ULL;
 
-[[nodiscard]] std::uint64_t fault_hash(const std::vector<FaultReport>& faults) {
-  std::uint64_t h = util::kFnvOffset;
-  for (const FaultReport& fault : faults) h = util::fnv1a(fault.to_string(), h);
-  return util::hash_finalize(h);
-}
-
-/// Exactly bench_explore_scale's part-1 configuration. `shared` runs the
+/// The topology27 receipt configuration. `shared` runs the
 /// episodes through an externally-owned pool (the global-budget machinery);
 /// otherwise the orchestrator owns a private pool when workers > 1.
 [[nodiscard]] std::uint64_t topology27_hash(std::size_t workers, bool shared) {
@@ -58,7 +52,7 @@ constexpr std::uint64_t kTopology27FaultHash = 0x63f680b04458c2a9ULL;
   EXPECT_TRUE(dice.bootstrap());
   GrammarStrategy strategy(/*corruption_rate=*/0.05, /*rng_seed=*/0xf1f1);
   for (std::size_t i = 0; i < 2; ++i) (void)dice.run_episode(strategy);
-  return fault_hash(dice.all_faults());
+  return svc::fault_set_hash(dice.all_faults());
 }
 
 TEST(NestedDeterminismTest, Topology27HashIsByteIdenticalSharedAndOwnedAtEveryWorkerCount) {

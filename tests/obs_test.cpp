@@ -8,9 +8,11 @@
 // worker-count-invariant for completed cells; (4) the passivity invariant:
 // the committed topology27 fault hash 63f680b04458c2a9 is byte-identical
 // with a Trace attached at workers 1, 2, 4 and 8, and a Campaign run under
-// a ProgressReporter produces the same fault bytes as a bare run; (5) the
-// Log sink swap/write race is gone — concurrent set_sink and write() are
-// safe (TSan exercises this file).
+// a ProgressReporter produces the same fault bytes as a bare run, and the
+// bench-matrix soak (default_bench_scenarios, grammar + concolic) lands on
+// its pinned hash nested on and off under a trace that drops nothing and
+// stays in canonical cell order; (5) the Log sink swap/write race is gone —
+// concurrent set_sink and write() are safe (TSan exercises this file).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -27,7 +29,6 @@
 #include "obs/progress.hpp"
 #include "obs/trace.hpp"
 #include "svc/soak_service.hpp"
-#include "util/hash.hpp"
 #include "util/log.hpp"
 
 namespace dice::obs {
@@ -296,17 +297,12 @@ TEST(ProgressReporterTest, FormatsProgressLinesAndForwardsDownstream) {
 
 // ---------------------------------------------------------------------------
 // The passivity invariant — the committed determinism receipt survives
-// telemetry. bench_explore_scale's topology27 configuration has hashed to
-// this value since PR 1 (tests/explore_nested_test.cpp pins the bare runs).
+// telemetry. The topology27 receipt configuration has hashed to this value
+// since it was first recorded (tests/explore_nested_test.cpp pins the bare
+// runs).
 // ---------------------------------------------------------------------------
 
 constexpr std::uint64_t kTopology27FaultHash = 0x63f680b04458c2a9ULL;
-
-[[nodiscard]] std::uint64_t fault_hash(const std::vector<FaultReport>& faults) {
-  std::uint64_t h = util::kFnvOffset;
-  for (const FaultReport& fault : faults) h = util::fnv1a(fault.to_string(), h);
-  return util::hash_finalize(h);
-}
 
 [[nodiscard]] std::uint64_t topology27_hash_with_trace(std::size_t workers,
                                                        Trace* trace) {
@@ -324,7 +320,7 @@ constexpr std::uint64_t kTopology27FaultHash = 0x63f680b04458c2a9ULL;
   EXPECT_TRUE(dice.bootstrap());
   core::GrammarStrategy strategy(/*corruption_rate=*/0.05, /*rng_seed=*/0xf1f1);
   for (std::size_t i = 0; i < 2; ++i) (void)dice.run_episode(strategy);
-  return fault_hash(dice.all_faults());
+  return svc::fault_set_hash(dice.all_faults());
 }
 
 TEST(ObsPassivityTest, Topology27HashByteIdenticalWithTraceAttached) {

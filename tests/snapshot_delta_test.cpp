@@ -13,26 +13,19 @@
 
 #include "dice/orchestrator.hpp"
 #include "dice/system.hpp"
-#include "util/hash.hpp"
+#include "svc/soak_service.hpp"
 
 namespace dice::snapshot {
 namespace {
 
 using bgp::make_internet;
 using core::DiceOptions;
-using core::FaultReport;
 using core::GrammarStrategy;
 using core::Orchestrator;
 using core::System;
 
 /// The committed cross-PR determinism receipt (see docs/DETERMINISM.md).
 constexpr std::uint64_t kTopology27FaultHash = 0x63f680b04458c2a9ULL;
-
-[[nodiscard]] std::uint64_t fault_hash(const std::vector<FaultReport>& faults) {
-  std::uint64_t h = util::kFnvOffset;
-  for (const FaultReport& fault : faults) h = util::fnv1a(fault.to_string(), h);
-  return util::hash_finalize(h);
-}
 
 [[nodiscard]] bool is_delta(const Checkpoint& checkpoint) {
   return checkpoint.state.size() == 1 &&
@@ -223,7 +216,7 @@ TEST(SnapshotDeltaTest, RetiredFixedWidthStreamIsRefusedByBothEngines) {
   } else {
     EXPECT_EQ(delta_nodes, 0u) << "delta engaged while disabled";
   }
-  return fault_hash(dice.all_faults());
+  return svc::fault_set_hash(dice.all_faults());
 }
 
 TEST(SnapshotDeltaTest, Topology27FaultHashByteIdenticalFullVsDelta) {
