@@ -169,7 +169,10 @@ Orchestrator::Orchestrator(std::shared_ptr<const SystemPrototype> prototype,
       options_(options),
       live_(std::make_unique<System>(prototype_)),
       external_arena_(external_arena) {
-  live_->set_delta_checkpoints(options_.delta_snapshots);
+  // Delta checkpoints: each episode's snapshot re-encodes only the routers
+  // that changed since the previous prepared snapshot. Fault bytes do not
+  // depend on it (docs/SNAPSHOT_FORMAT.md).
+  live_->set_delta_checkpoints(true);
   // A shared pool replaces the private one entirely: one global worker
   // budget, no second thread team to oversubscribe it.
   if (options_.shared_pool == nullptr && options_.parallelism > 1) {
@@ -449,7 +452,6 @@ EpisodeResult Orchestrator::run_episode(InputStrategy& strategy) {
   // are stateful); clone execution fans out. Task order is the serial
   // encounter order — the baseline clone first, then one task per input —
   // and doubles as the fault-merge priority.
-  const util::Rng episode_rng(options_.rng_seed ^ result.episode);
   std::vector<explore::CloneTask> tasks;
   const auto make_task = [&] {
     explore::CloneTask task;
@@ -458,7 +460,6 @@ EpisodeResult Orchestrator::run_episode(InputStrategy& strategy) {
     task.prepared = prepared;
     task.explorer = result.explorer;
     task.episode = result.episode;
-    task.rng = episode_rng.fork(task.index);
     task.event_budget = options_.clone_event_budget;
     task.time_budget = options_.clone_time_budget;
     if (options_.oscillation_early_exit) {
@@ -466,13 +467,10 @@ EpisodeResult Orchestrator::run_episode(InputStrategy& strategy) {
     }
     return task;
   };
-  if (options_.include_baseline_clone) {
-    // Baseline clone: checks the *current* system state with no new input
-    // (catches faults already manifest, e.g. a deployed hijack).
-    explore::CloneTask task = make_task();
-    task.baseline = true;
-    tasks.push_back(std::move(task));
-  }
+  // Baseline clone: checks the *current* system state with no new input
+  // (catches faults already manifest, e.g. a deployed hijack).
+  tasks.push_back(make_task());
+  tasks.back().baseline = true;
 
   const explore::CheckFn check = [this](System& system, const explore::CloneTask& task,
                                         bool quiesced) {

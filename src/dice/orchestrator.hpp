@@ -35,7 +35,6 @@ struct DiceOptions {
   std::size_t clone_event_budget = 200'000;   ///< per-clone quiescence budget
   sim::Time clone_time_budget = 120 * sim::kSecond;
   std::uint32_t oscillation_threshold = 8;
-  bool include_baseline_clone = true;  ///< also check a no-input clone
   bool stop_on_first_fault = false;
   /// Worker threads for clone exploration (explore::ExplorePool). 1 keeps
   /// the strictly serial compatibility path (no threads are spawned);
@@ -56,19 +55,10 @@ struct DiceOptions {
   /// docs/DETERMINISM.md). The pool must outlive the orchestrator; a
   /// threadless (workers <= 1) pool degrades to the exact serial loop.
   explore::ExplorePool* shared_pool = nullptr;
-  /// Root seed for the per-task RNG streams handed to CloneTasks
-  /// (util::Rng::fork(stream_id)). Clone runs draw nothing from them yet
-  /// (see explore::CloneTask::rng); the knob exists so future randomized
-  /// clone behavior has a deterministic, scheduling-independent source.
+  /// Read by nothing: clones draw no randomness. Kept only because the
+  /// benchmark driver (perfbench) still assigns it; it goes with the next
+  /// benchmark change.
   std::uint64_t rng_seed = 0xd1ce5eed;
-  /// Delta checkpoints: per-episode snapshots re-encode only routers whose
-  /// state changed since the previous prepared snapshot; unchanged routers
-  /// contribute one byte. Cuts per-episode snapshot bytes from
-  /// O(topology size) to O(churn) on quiet systems; deltas resolve against
-  /// the previous PreparedSnapshot. Fault sets are byte-identical either
-  /// way: delta nodes share the baseline's decoded checkpoint object, and
-  /// the cut hash is computed over full-state hashes, not encoded bytes.
-  bool delta_snapshots = true;
   /// Terminate a clone run as soon as its oscillation detector is
   /// conclusive (any prefix's best-route flip count reaches
   /// `oscillation_threshold`) instead of burning the full

@@ -99,7 +99,7 @@ class System {
   /// successfully *prepared* snapshot as the baseline, and prepare_snapshot
   /// resolves delta envelopes against it. Off by default — a cut meant for
   /// reset_from_raw (raw bytes, no baseline) must be taken with it off;
-  /// the Orchestrator turns it on per DiceOptions::delta_snapshots.
+  /// the Orchestrator always turns it on for its live system.
   void set_delta_checkpoints(bool enabled) noexcept { delta_checkpoints_ = enabled; }
   [[nodiscard]] bool delta_checkpoints() const noexcept { return delta_checkpoints_; }
 

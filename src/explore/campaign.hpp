@@ -52,8 +52,6 @@ struct CampaignOptions {
     std::size_t inputs_per_episode = 32;
     std::size_t bootstrap_events = 500'000;
     std::size_t clone_event_budget = 200'000;
-    sim::Time clone_time_budget = 120 * sim::kSecond;
-    bool include_baseline_clone = true;
     bool operator==(const Budgets&) const = default;
   };
   /// What is reused across cells and runs.
@@ -66,7 +64,6 @@ struct CampaignOptions {
     /// keeps the bound it was constructed with; this knob does not rebind
     /// it.
     std::size_t live_cache_max_entries = LiveStateCache::kDefaultMaxEntries;
-    bool share_solver_cache = false;
     /// Proven-UNSAT solver keys pre-seeded into every solver cache each
     /// run() creates (MatrixOptions::unsat_seed) — the svc::ArtifactStore
     /// warm-start path. Sound and byte-stable: a seeded hit skips solving
@@ -74,10 +71,6 @@ struct CampaignOptions {
     /// ever replayed. Must outlive the campaign's run() calls; nullptr =
     /// no seeding.
     const std::vector<std::uint64_t>* unsat_seed = nullptr;
-    /// Delta checkpoints against the previous prepared snapshot (snapshot
-    /// cost follows churn, not topology size). See
-    /// DiceOptions::delta_snapshots.
-    bool delta_snapshots = true;
     bool operator==(const Caching&) const = default;
   };
   /// Where the work runs. `workers` is the ONE global knob: a single
@@ -132,7 +125,6 @@ struct CampaignOptions {
     /// cell indices and fault bytes exactly. Unknown non-"" ids are
     /// rejected by validate().
     std::vector<std::string> implementations{std::string()};
-    std::uint64_t rng_seed = 0xd1ce5eed;
     /// Overrides the per-cell derived strategy seed with one fixed value
     /// for EVERY cell (MatrixOptions::strategy_seed). For single-cell
     /// receipt campaigns that must reproduce a standalone Orchestrator
@@ -140,7 +132,6 @@ struct CampaignOptions {
     /// nullopt = the derived per-cell streams.
     std::optional<std::uint64_t> strategy_seed = std::nullopt;
     std::uint32_t oscillation_threshold = 8;
-    bool oscillation_early_exit = true;
     bool bootstrap_early_exit = true;
     bool operator==(const Determinism&) const = default;
   };

@@ -11,6 +11,7 @@
 #include "obs/metrics.hpp"
 #include "obs/names.hpp"
 #include "util/log.hpp"
+#include "util/rng.hpp"
 
 namespace dice::explore {
 
@@ -188,20 +189,13 @@ MatrixResult ScenarioMatrix::run(ExplorePool& pool, const RunControl& control) {
   }
   const ExplorePool::Stats pool_before = pool.stats();
 
-  // One shared cache maximizes cross-cell reuse; per-cell caches keep every
-  // cell's solving history independent of scheduling. Either kind is
-  // pre-seeded with any warm-start UNSAT memo: a seeded hit skips solving
-  // with the verdict a fresh solve would reach, so fault bytes are
-  // unmoved (no SAT model is ever replayed across runs).
-  SolverCache shared_cache;
-  if (options_.unsat_seed != nullptr) shared_cache.seed_unsat(*options_.unsat_seed);
-  std::vector<std::unique_ptr<SolverCache>> cell_caches;
-  if (!options_.share_solver_cache) {
-    cell_caches.resize(cells.size());
-    for (auto& cache : cell_caches) {
-      cache = std::make_unique<SolverCache>();
-      if (options_.unsat_seed != nullptr) cache->seed_unsat(*options_.unsat_seed);
-    }
+  // Per-cell caches keep every cell's solving history independent of
+  // scheduling. Each is pre-seeded with any warm-start UNSAT memo: a seeded
+  // hit skips solving with the verdict a fresh solve would reach, so fault
+  // bytes are unmoved (no SAT model is ever replayed across runs).
+  std::vector<SolverCache> cell_caches(cells.size());
+  if (options_.unsat_seed != nullptr) {
+    for (SolverCache& cache : cell_caches) cache.seed_unsat(*options_.unsat_seed);
   }
 
   // Bootstrap-once: cells of the same (scenario, seed) share one converged
@@ -298,14 +292,10 @@ MatrixResult ScenarioMatrix::run(ExplorePool& pool, const RunControl& control) {
     // steal them across cell boundaries, so even a single parked cell
     // keeps the whole worker budget busy. Off: clones run serially on
     // this worker (the legacy cells-only split, kept as the equivalence
-    // baseline). Either way the fault bytes are identical: clone RNG
-    // streams and ledger priorities key off canonical indices only.
+    // baseline). Either way the fault bytes are identical: strategy streams
+    // and ledger priorities key off canonical indices only.
     dice.shared_pool = options_.nested_parallelism ? &pool : nullptr;
     dice.stop = control.stop;  // polled between clones, never mid-clone
-    // Disjoint stream ids (2i, 2i+1) keep every cell's clone-RNG root and
-    // strategy stream distinct from every other cell's, even when cells
-    // share the same matrix seed.
-    dice.rng_seed = util::Rng(cell.seed).fork(2 * index).next();
     // Clones land on the arena of whichever pool worker executes them
     // (nested) or on this worker's arena (cells-only); the shared
     // per-scenario prototype lets every arena's System survive across cells.
@@ -330,16 +320,16 @@ MatrixResult ScenarioMatrix::run(ExplorePool& pool, const RunControl& control) {
 
     // Every cell derives its own independent deterministic stream: the
     // strategy seed depends only on (seed, cell index), never on which
-    // worker picked the cell up or when. The override pins every cell to
-    // one fixed stream instead (single-cell receipt matrices that must
-    // reproduce a standalone harness byte-for-byte).
+    // worker picked the cell up or when. The odd stream id 2i+1 stays
+    // because any other id would move every pinned fault hash. The
+    // override pins every cell to one fixed stream instead (single-cell
+    // receipt matrices that must reproduce a standalone harness
+    // byte-for-byte).
     const std::uint64_t strategy_seed = options_.strategy_seed.has_value()
                                             ? *options_.strategy_seed
                                             : util::Rng(cell.seed).fork(2 * index + 1).next();
-    SolverCache* cache =
-        options_.share_solver_cache ? &shared_cache : cell_caches[index].get();
     const std::unique_ptr<core::InputStrategy> strategy =
-        make_strategy(cell.strategy, strategy_seed, cache);
+        make_strategy(cell.strategy, strategy_seed, &cell_caches[index]);
 
     // Between-episodes cancellation points; an episode the token cut short
     // reports interrupted itself, and an errored episode (its snapshot did
@@ -407,25 +397,19 @@ MatrixResult ScenarioMatrix::run(ExplorePool& pool, const RunControl& control) {
   result.stopped = result.cells_completed != result.cells.size();
 
   result.faults = merger.canonical_faults();
-  if (options_.share_solver_cache) {
-    result.solver_cache = shared_cache.stats();
-    result.unsat_keys = shared_cache.unsat_keys();
-  } else {
-    for (const auto& cache : cell_caches) {
-      const SolverCache::Stats stats = cache->stats();
-      result.solver_cache.hits += stats.hits;
-      result.solver_cache.misses += stats.misses;
-      result.solver_cache.stores += stats.stores;
-      result.solver_cache.entries += stats.entries;
-      result.solver_cache.sat_entries += stats.sat_entries;
-      const std::vector<std::uint64_t> keys = cache->unsat_keys();
-      result.unsat_keys.insert(result.unsat_keys.end(), keys.begin(), keys.end());
-    }
-    std::sort(result.unsat_keys.begin(), result.unsat_keys.end());
-    result.unsat_keys.erase(
-        std::unique(result.unsat_keys.begin(), result.unsat_keys.end()),
-        result.unsat_keys.end());
+  for (const SolverCache& cache : cell_caches) {
+    const SolverCache::Stats stats = cache.stats();
+    result.solver_cache.hits += stats.hits;
+    result.solver_cache.misses += stats.misses;
+    result.solver_cache.stores += stats.stores;
+    result.solver_cache.entries += stats.entries;
+    result.solver_cache.sat_entries += stats.sat_entries;
+    const std::vector<std::uint64_t> keys = cache.unsat_keys();
+    result.unsat_keys.insert(result.unsat_keys.end(), keys.begin(), keys.end());
   }
+  std::sort(result.unsat_keys.begin(), result.unsat_keys.end());
+  result.unsat_keys.erase(std::unique(result.unsat_keys.begin(), result.unsat_keys.end()),
+                          result.unsat_keys.end());
   const LiveStateCache::Stats cache_after = live_cache->stats();
   result.live_cache.hits = cache_after.hits - cache_before.hits;
   result.live_cache.misses = cache_after.misses - cache_before.misses;

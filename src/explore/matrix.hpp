@@ -65,13 +65,9 @@ struct MatrixOptions {
   /// cell's clones). Off: the legacy cells-only split — a cell's clones run
   /// serially on the one worker that owns the cell (the equivalence
   /// baseline). Fault sets are byte-identical either way at any worker
-  /// count: per-clone RNG streams and ledger priorities derive from
-  /// canonical indices, never from execution order (docs/DETERMINISM.md).
+  /// count: strategy streams and ledger priorities derive from canonical
+  /// indices, never from execution order (docs/DETERMINISM.md).
   bool nested_parallelism = true;
-  /// Share one SolverCache across all concolic cells. Maximizes reuse but
-  /// lets concurrent cells observe each other's (sound, verified) models;
-  /// keep false when byte-stable repeat runs matter more than throughput.
-  bool share_solver_cache = false;
   /// Bootstrap each (scenario, seed) live system ONCE: the first cell of a
   /// key converges and donates a PreparedLiveState; later cells resume
   /// from it in microseconds (LiveStateCache). Fault sets are byte-
@@ -81,8 +77,8 @@ struct MatrixOptions {
   /// External cache to share across matrix runs (long soaks re-running the
   /// same scenarios); nullptr = one private cache per run() call.
   LiveStateCache* live_cache = nullptr;
-  /// Proven-UNSAT solver keys pre-seeded into every solver cache this run
-  /// creates (shared or per-cell) — the svc::ArtifactStore warm-start path.
+  /// Proven-UNSAT solver keys pre-seeded into every per-cell solver cache
+  /// this run creates — the svc::ArtifactStore warm-start path.
   /// Sound and byte-stable: a seeded hit skips solving with the exact
   /// verdict a fresh solve would reach (no model is replayed). The pointed-
   /// at vector must outlive run() and not change during it; nullptr = no

@@ -26,11 +26,10 @@
 // cell's clones) and takes clones exactly when nothing coarser is left.
 //
 // Determinism contract: a task's behavior depends only on the task itself
-// — the immutable snapshot, the pre-generated input, and (should a task
-// ever need randomness) its own forked Rng stream, never a worker-owned
-// one — and results land in a slot indexed by task id, so the outcome of
-// a batch is bit-identical for 1, 2 or N workers regardless of stealing
-// order, nesting, or which worker executes which task. See
+// — the immutable snapshot and the pre-generated input, never on
+// worker-owned state — and results land in a slot indexed by task id, so
+// the outcome of a batch is bit-identical for 1, 2 or N workers regardless
+// of stealing order, nesting, or which worker executes which task. See
 // docs/DETERMINISM.md for the full invariant checklist.
 #pragma once
 
@@ -48,7 +47,6 @@
 #include "dice/report.hpp"
 #include "dice/system.hpp"
 #include "explore/arena.hpp"
-#include "util/rng.hpp"
 
 namespace dice::explore {
 
@@ -68,12 +66,6 @@ struct CloneTask {
   sim::NodeId explorer = sim::kInvalidNode;
   sim::NodeId inject_from = sim::kInvalidNode;  ///< kInvalidNode: nothing to inject
   std::uint64_t episode = 0;
-  /// Per-task deterministic stream (util::Rng::fork(task index)). Clone
-  /// execution itself is deterministic and draws nothing from it today;
-  /// it exists so any future randomized task behavior (perturbed event
-  /// timing, sampled checks) stays scheduling-independent by construction
-  /// — never reach for a worker-owned or shared generator instead.
-  util::Rng rng;
   std::size_t event_budget = 200'000;
   sim::Time time_budget = 120 * sim::kSecond;
   /// When > 0: stop the clone run as soon as any prefix's best-route flip

@@ -9,7 +9,8 @@
 // other workers — skip the whole solving pipeline.
 //
 // Lock-striped: keys shard onto independent mutex-guarded maps, so
-// concurrent ScenarioMatrix cells sharing one cache rarely contend.
+// concurrent callers of one cache rarely contend. (ScenarioMatrix gives
+// each cell its own cache, and a cell generates its inputs serially.)
 #pragma once
 
 #include <atomic>

@@ -100,16 +100,14 @@ ShardCoordinator::ShardCoordinator(explore::CampaignOptions campaign, ShardOptio
 util::Result<ShardRunResult> ShardCoordinator::run(
     explore::CampaignObserver* observer, const std::vector<std::uint64_t>* unsat_seed) {
   if (auto status = options_.validate(); !status.ok()) return status.error();
+  if (auto status = campaign_.validate(); !status.ok()) return status.error();
   // A worker that died between poll() and our write must surface as EPIPE,
   // not SIGPIPE death of the coordinator.
   std::signal(SIGPIPE, SIG_IGN);
 
   auto scenarios = resolve_scenario_set(options_.scenario_set);
   if (!scenarios) return scenarios.error();
-  explore::MatrixOptions matrix_options = campaign_.to_matrix_options();
-  if (matrix_options.implementations.empty()) {
-    matrix_options.implementations.push_back(std::string());
-  }
+  const explore::MatrixOptions matrix_options = campaign_.to_matrix_options();
   const std::vector<explore::CellIdentity> cells =
       explore::enumerate_cells(scenarios.value().size(), matrix_options);
 

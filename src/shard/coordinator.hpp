@@ -103,16 +103,16 @@ class ShardCoordinator {
  public:
   /// `campaign` carries every determinism-relevant knob (its pointer
   /// fields — pool, caches, observers — are ignored; workers own their
-  /// own). Pass validated options; `options.validate()` is re-checked at
-  /// run().
+  /// own). run() checks `campaign.validate()` and `options.validate()`
+  /// before spawning anything.
   ShardCoordinator(explore::CampaignOptions campaign, ShardOptions options);
 
   /// Deals, spawns, merges; blocks until every shard completed or was
   /// declared lost. Streams the merged canonical cell stream to `observer`
   /// (may be null) exactly as an in-process Campaign would. `unsat_seed`
   /// rides into every worker's job frame (warm start); may be null.
-  /// Fails (shard.options.* / shard.spawn.*) only on configuration or
-  /// resource errors — worker misbehavior is never an error here, it is
+  /// Fails (campaign.options.* / shard.options.* / shard.spawn.*) only on
+  /// configuration or resource errors — worker misbehavior is never an error here, it is
   /// typed loss data in the result.
   [[nodiscard]] util::Result<ShardRunResult> run(
       explore::CampaignObserver* observer = nullptr,

@@ -22,14 +22,13 @@ constexpr util::Envelope kEnvelope{std::string_view(kMagic, sizeof(kMagic)), kVe
 template <class Io>
 void fields(Io& io, util::IoRef<Io, explore::CampaignOptions> options) {
   auto& [strategies, budgets, caching, parallelism, telemetry, determinism, deadline] = options;
-  auto& [episodes_per_cell, inputs_per_episode, bootstrap_events, clone_event_budget,
-         clone_time_budget, include_baseline_clone] = budgets;
-  auto& [live_state_cache, live_cache, live_cache_max_entries, share_solver_cache, unsat_seed,
-         delta_snapshots] = caching;
+  auto& [episodes_per_cell, inputs_per_episode, bootstrap_events, clone_event_budget] =
+      budgets;
+  auto& [live_state_cache, live_cache, live_cache_max_entries, unsat_seed] = caching;
   auto& [workers, pool, nested] = parallelism;
   auto& [trace, progress_every_cells, wall_observer] = telemetry;
-  auto& [seeds, implementations, rng_seed, strategy_seed, oscillation_threshold,
-         oscillation_early_exit, bootstrap_early_exit] = determinism;
+  auto& [seeds, implementations, strategy_seed, oscillation_threshold, bootstrap_early_exit] =
+      determinism;
   // Process-local, never shipped: each process owns its bootstrap cache and
   // its bound, its pool, telemetry and deadline; the UNSAT seed travels as
   // JobSpec::unsat_seed.
@@ -43,17 +42,11 @@ void fields(Io& io, util::IoRef<Io, explore::CampaignOptions> options) {
   io.vu64(inputs_per_episode);
   io.vu64(bootstrap_events);
   io.vu64(clone_event_budget);
-  io.u64(clone_time_budget);
-  io.boolean(include_baseline_clone);
   io.boolean(live_state_cache);
-  io.boolean(share_solver_cache);
-  io.boolean(delta_snapshots);
   io.vu64(workers);
   io.boolean(nested);
-  io.u64(rng_seed);
   io.optional(strategy_seed, [&](auto& seed) { io.u64(seed); });
   io.u32(oscillation_threshold);
-  io.boolean(oscillation_early_exit);
   io.boolean(bootstrap_early_exit);
 }
 

@@ -1,4 +1,4 @@
-// shard wire form (DSHD v2): the frames a ShardCoordinator and a
+// shard wire form (DSHD v3): the frames a ShardCoordinator and a
 // dice_shard_worker exchange over pipes.
 //
 // Every message is one util::Envelope, the sealed envelope DSVC store files
@@ -48,9 +48,11 @@
 namespace dice::shard {
 
 inline constexpr char kMagic[4] = {'D', 'S', 'H', 'D'};
-/// v2 dropped the clone-path flag from the campaign spec (there is one
-/// clone path); a v1 frame fails with `shard.wire.version`.
-inline constexpr std::uint8_t kVersion = 2;
+/// v3 dropped six campaign knobs no caller set (the clone time budget, the
+/// baseline-clone, shared-solver-cache, delta-snapshot and oscillation
+/// early-exit flags, and the clone RNG seed); an older frame fails with
+/// `shard.wire.version`.
+inline constexpr std::uint8_t kVersion = 3;
 /// Hard ceiling on one frame (64 MiB): a corrupt length prefix must not
 /// make the coordinator allocate unbounded memory.
 inline constexpr std::size_t kMaxFrameBytes = std::size_t{1} << 26;

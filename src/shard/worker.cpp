@@ -159,8 +159,14 @@ int worker_main(int in_fd, int out_fd, const WorkerChaos& chaos) {
     logger().error() << scenarios.error().detail;
     return 5;
   }
-
+  // A checksummed frame is not a validated one: reject the campaign here,
+  // typed, instead of letting a bad knob throw inside a pool task.
   const explore::CampaignOptions& campaign = job.value().campaign;
+  if (const util::Status status = campaign.validate(); !status.ok()) {
+    logger().error() << "job campaign rejected: " << status.error().to_string();
+    return 6;
+  }
+
   explore::MatrixOptions options = campaign.to_matrix_options();
   options.cell_subset.emplace(job.value().cells.begin(), job.value().cells.end());
   // Warm-start seeding crosses the process boundary with the job; the

@@ -50,6 +50,7 @@ struct WorkerChaos {
 ///   3 write failure (coordinator went away)
 ///   4 malformed or missing job frame
 ///   5 job references an unknown scenario set
+///   6 job campaign fails CampaignOptions::validate() (campaign.options.*)
 int worker_main(int in_fd, int out_fd, const WorkerChaos& chaos);
 
 }  // namespace dice::shard

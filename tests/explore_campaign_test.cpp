@@ -10,6 +10,7 @@
 
 #include <chrono>
 #include <map>
+#include <optional>
 #include <string>
 #include <thread>
 #include <type_traits>
@@ -194,30 +195,43 @@ TEST(CampaignOptionsTest, BuilderRejectsNonsense) {
 }
 
 TEST(CampaignOptionsTest, LoweringMapsEveryLegacyKnob) {
+  // Every lowered knob is set off its default, so a dropped line in the
+  // lowering shows up as a default value below.
   CampaignOptions options = small_options(/*workers=*/3);
-  options.budgets.include_baseline_clone = false;
-  options.caching.delta_snapshots = false;
-  options.caching.share_solver_cache = true;
-  options.determinism.rng_seed = 42;
+  LiveStateCache live_cache;
+  const std::vector<std::uint64_t> unsat_seed{7, 9};
+  options.budgets.episodes_per_cell = 2;
+  options.caching.live_state_cache = false;
+  options.caching.live_cache = &live_cache;
+  options.caching.unsat_seed = &unsat_seed;
+  options.parallelism.nested = false;
+  options.telemetry.progress_every_cells = 4;
+  options.determinism.implementations = {"", "fsm"};
+  options.determinism.strategy_seed = 0xf1f1;
   options.determinism.oscillation_threshold = 5;
+  options.determinism.bootstrap_early_exit = false;
 
   const core::DiceOptions dice = options.to_dice_options();
   EXPECT_EQ(dice.inputs_per_episode, 4u);
   EXPECT_EQ(dice.clone_event_budget, 60'000u);
-  EXPECT_FALSE(dice.include_baseline_clone);
-  EXPECT_FALSE(dice.delta_snapshots);
-  EXPECT_EQ(dice.rng_seed, 42u);
   EXPECT_EQ(dice.oscillation_threshold, 5u);
+  EXPECT_FALSE(dice.bootstrap_early_exit);
   EXPECT_EQ(dice.parallelism, 1u)
       << "the lowering never sizes a private pool; the matrix wires the shared one";
 
   const MatrixOptions matrix = options.to_matrix_options();
   EXPECT_EQ(matrix.strategies, options.strategies);
   EXPECT_EQ(matrix.seeds, options.determinism.seeds);
-  EXPECT_EQ(matrix.episodes_per_cell, 1u);
+  EXPECT_EQ(matrix.implementations, options.determinism.implementations);
+  EXPECT_EQ(matrix.episodes_per_cell, 2u);
   EXPECT_EQ(matrix.bootstrap_events, 300'000u);
-  EXPECT_TRUE(matrix.share_solver_cache);
-  EXPECT_TRUE(matrix.live_state_cache);
+  EXPECT_EQ(matrix.dice.inputs_per_episode, 4u);
+  EXPECT_FALSE(matrix.live_state_cache);
+  EXPECT_EQ(matrix.live_cache, &live_cache);
+  EXPECT_EQ(matrix.unsat_seed, &unsat_seed);
+  EXPECT_EQ(matrix.strategy_seed, std::optional<std::uint64_t>(0xf1f1));
+  EXPECT_FALSE(matrix.nested_parallelism);
+  EXPECT_EQ(matrix.progress_every_cells, 4u);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 // The implementation axis at campaign level, and determinism across
 // heterogeneous federations: mixed-engine campaigns must produce byte-
-// identical fault sets at every worker count, nested scheduling on or off,
-// with full or delta snapshots; the axis itself fans cells out with the
+// identical fault sets at every worker count, nested scheduling on or off;
+// the axis itself fans cells out with the
 // implementation loop innermost; axis entry "bgp" reproduces the bytes of
 // the as-authored axis on unpinned blueprints; and unknown ids are
 // rejected at build time.
@@ -43,8 +43,7 @@ using core::FaultReport;
   return scenarios;
 }
 
-[[nodiscard]] CampaignOptions federated_options(std::size_t workers, bool nested,
-                                                bool delta) {
+[[nodiscard]] CampaignOptions federated_options(std::size_t workers, bool nested) {
   CampaignOptions options;
   options.strategies = {StrategyKind::kGrammar, StrategyKind::kRandom};
   options.determinism.seeds = {1, 2};
@@ -53,7 +52,6 @@ using core::FaultReport;
   options.budgets.bootstrap_events = 300'000;
   options.parallelism.workers = workers;
   options.parallelism.nested = nested;
-  options.caching.delta_snapshots = delta;
   return options;
 }
 
@@ -66,9 +64,8 @@ using core::FaultReport;
   return lines;
 }
 
-TEST(FederationDeterminismTest, MixedCampaignBytesIdenticalAcrossWorkersNestingAndSnapshotMode) {
-  Campaign reference_campaign(federated_scenarios(),
-                              federated_options(1, /*nested=*/false, /*delta=*/false));
+TEST(FederationDeterminismTest, MixedCampaignBytesIdenticalAcrossWorkersAndNesting) {
+  Campaign reference_campaign(federated_scenarios(), federated_options(1, /*nested=*/false));
   const CampaignResult reference = reference_campaign.run();
   ASSERT_EQ(reference.cells_completed, reference.cells.size());
   const std::string expected = fault_lines(reference.faults);
@@ -78,15 +75,12 @@ TEST(FederationDeterminismTest, MixedCampaignBytesIdenticalAcrossWorkersNestingA
 
   for (const std::size_t workers : {1u, 2u, 4u, 8u}) {
     for (const bool nested : {false, true}) {
-      for (const bool delta : {false, true}) {
-        Campaign campaign(federated_scenarios(),
-                          federated_options(workers, nested, delta));
-        const CampaignResult result = campaign.run();
-        EXPECT_EQ(result.cells_completed, result.cells.size())
-            << "workers=" << workers << " nested=" << nested << " delta=" << delta;
-        EXPECT_EQ(fault_lines(result.faults), expected)
-            << "workers=" << workers << " nested=" << nested << " delta=" << delta;
-      }
+      Campaign campaign(federated_scenarios(), federated_options(workers, nested));
+      const CampaignResult result = campaign.run();
+      EXPECT_EQ(result.cells_completed, result.cells.size())
+          << "workers=" << workers << " nested=" << nested;
+      EXPECT_EQ(fault_lines(result.faults), expected)
+          << "workers=" << workers << " nested=" << nested;
     }
   }
 }
@@ -96,7 +90,7 @@ TEST(ImplementationAxisTest, AxisFansCellsWithImplementationInnermost) {
   scenarios.push_back({"line3", bgp::make_line(3)});
   scenarios.push_back({"ring4", bgp::make_ring(4)});
 
-  CampaignOptions options = federated_options(2, /*nested=*/true, /*delta=*/true);
+  CampaignOptions options = federated_options(2, /*nested=*/true);
   options.strategies = {StrategyKind::kGrammar};
   options.determinism.seeds = {1};
   options.determinism.implementations = {"", "fsm"};
@@ -126,7 +120,7 @@ TEST(ImplementationAxisTest, BgpAxisEntryReproducesAsAuthoredBytesOnUnpinnedScen
     bgp::SystemBlueprint hijack = bgp::make_internet({2, 3, 4});
     bgp::inject_hijack(hijack, /*victim=*/5, /*attacker=*/8);
     scenarios.push_back({"internet9-hijack", std::move(hijack)});
-    CampaignOptions options = federated_options(2, /*nested=*/true, /*delta=*/true);
+    CampaignOptions options = federated_options(2, /*nested=*/true);
     options.determinism.implementations = {impl};
     Campaign campaign(std::move(scenarios), options);
     return fault_lines(campaign.run().faults);
@@ -144,7 +138,7 @@ TEST(ImplementationAxisTest, DefaultAxisLeavesHistoricCellIdentityUntouched) {
     bgp::SystemBlueprint hijack = bgp::make_internet({2, 3, 4});
     bgp::inject_hijack(hijack, /*victim=*/5, /*attacker=*/8);
     scenarios.push_back({"internet9-hijack", std::move(hijack)});
-    CampaignOptions options = federated_options(1, /*nested=*/false, /*delta=*/true);
+    CampaignOptions options = federated_options(1, /*nested=*/false);
     options.strategies = {StrategyKind::kGrammar};
     if (explicit_axis) options.determinism.implementations = {std::string()};
     Campaign campaign(std::move(scenarios), options);

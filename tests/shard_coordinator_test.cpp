@@ -4,23 +4,31 @@
 //
 // 1. Differential receipt — the sharded topology27 campaign's fault-set
 //    hash is byte-identical to the single-process 63f680b04458c2a9 at
-//    1/2/4 worker processes, across nested and delta-snapshot modes; a
+//    1/2/4 worker processes, nested scheduling on and off; a
 //    multi-cell smoke campaign merges byte-identical to an in-process
 //    explore::Campaign run, faults and observer stream included.
-// 2. Fault injection through the worker chaos seam — a worker killed
+// 2. A campaign that fails CampaignOptions::validate() is refused typed on
+//    both sides: by ShardCoordinator::run() before any spawn, and by a
+//    worker handed such a job in a well-formed, checksummed frame.
+// 3. Fault injection through the worker chaos seam — a worker killed
 //    mid-shard, stalled past the inactivity deadline, or returning a
 //    corrupt frame is re-dealt and converges to the identical hash; with
 //    retries exhausted the shard becomes a TYPED loss and a well-formed
 //    partial result. Never a coordinator crash, never a silently short
 //    merge.
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
+#include <cerrno>
 #include <string>
 #include <vector>
 
 #include "explore/campaign.hpp"
 #include "shard/coordinator.hpp"
 #include "shard/scenario_set.hpp"
+#include "shard/wire.hpp"
 #include "svc/soak_service.hpp"
 
 namespace dice::shard {
@@ -31,7 +39,7 @@ constexpr std::uint64_t kReceiptHash = 0x63f680b04458c2a9ull;
 [[nodiscard]] std::string worker_path() { return DICE_SHARD_WORKER_PATH; }
 
 /// The pinned receipt campaign (svc_soak_test's): one topology27 cell.
-[[nodiscard]] explore::CampaignOptions receipt_campaign(bool nested, bool delta) {
+[[nodiscard]] explore::CampaignOptions receipt_campaign(bool nested) {
   auto built = explore::CampaignOptions::builder()
                    .strategies({explore::StrategyKind::kGrammar})
                    .seeds({1})
@@ -43,9 +51,7 @@ constexpr std::uint64_t kReceiptHash = 0x63f680b04458c2a9ull;
                    .nested(nested)
                    .build();
   EXPECT_TRUE(built.ok());
-  explore::CampaignOptions options = std::move(built).take();
-  options.caching.delta_snapshots = delta;
-  return options;
+  return std::move(built).take();
 }
 
 /// A fast multi-cell campaign over the "smoke" set: 2 scenarios x 2
@@ -106,19 +112,15 @@ TEST(ShardCoordinator, OptionsValidate) {
 }
 
 // The acceptance receipt: sharded topology27 == single-process
-// 63f680b04458c2a9 at 1/2/4 worker processes, nested x delta covered.
-TEST(ShardCoordinator, Topology27ReceiptHashAcrossProcessesNestedDelta) {
+// 63f680b04458c2a9 at 1/2/4 worker processes, nested on and off.
+TEST(ShardCoordinator, Topology27ReceiptHashAcrossProcessesAndNesting) {
   struct Case {
     std::size_t processes;
     bool nested;
-    bool delta;
   };
-  const Case cases[] = {
-      {1, true, true}, {2, true, true}, {4, true, true},
-      {2, false, true}, {2, true, false},
-  };
+  const Case cases[] = {{1, true}, {2, true}, {4, true}, {2, false}};
   for (const Case& c : cases) {
-    ShardCoordinator coordinator(receipt_campaign(c.nested, c.delta),
+    ShardCoordinator coordinator(receipt_campaign(c.nested),
                                  shard_options(c.processes, "topology27"));
     auto result = coordinator.run();
     ASSERT_TRUE(result.ok()) << result.error().detail;
@@ -126,9 +128,72 @@ TEST(ShardCoordinator, Topology27ReceiptHashAcrossProcessesNestedDelta) {
     EXPECT_TRUE(result.value().failures.empty());
     EXPECT_EQ(result.value().matrix.cells_completed, 1u);
     EXPECT_EQ(svc::fault_set_hash(result.value().matrix.faults), kReceiptHash)
-        << "processes=" << c.processes << " nested=" << c.nested
-        << " delta=" << c.delta;
+        << "processes=" << c.processes << " nested=" << c.nested;
   }
+}
+
+/// Options no builder would produce: an implementation-axis id no engine
+/// registered. Constructing a System for it throws.
+[[nodiscard]] explore::CampaignOptions unknown_engine_campaign() {
+  explore::CampaignOptions options = smoke_campaign();
+  options.determinism.implementations = {"nope"};
+  return options;
+}
+
+TEST(ShardCoordinator, InvalidCampaignIsRefusedBeforeAnySpawn) {
+  ShardCoordinator coordinator(unknown_engine_campaign(), shard_options(2, "smoke"));
+  auto result = coordinator.run();
+  ASSERT_FALSE(result.ok()) << "an invalid campaign reached the workers";
+  EXPECT_EQ(result.error().code, "campaign.options.unknown_implementation");
+}
+
+// A hostile but checksummed job: the worker must exit with its typed
+// status and log the campaign.options code, not abort on a throw from a
+// pool task.
+TEST(ShardWorker, InvalidCampaignJobExitsTypedAndLogged) {
+  JobSpec job;
+  job.scenario_set = "smoke";
+  job.campaign = unknown_engine_campaign();
+  job.cells = {0};
+  util::Bytes frame;
+  append_frame(frame, encode_job(job));
+
+  const std::string path = worker_path();
+  int in_pipe[2];
+  int err_pipe[2];
+  ASSERT_EQ(::pipe(in_pipe), 0);
+  ASSERT_EQ(::pipe(err_pipe), 0);
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    const int null_fd = ::open("/dev/null", O_WRONLY);
+    ::dup2(in_pipe[0], STDIN_FILENO);
+    ::dup2(null_fd, STDOUT_FILENO);
+    ::dup2(err_pipe[1], STDERR_FILENO);
+    for (const int fd : {in_pipe[0], in_pipe[1], err_pipe[0], err_pipe[1], null_fd}) {
+      ::close(fd);
+    }
+    ::execl(path.c_str(), path.c_str(), static_cast<char*>(nullptr));
+    _exit(127);
+  }
+  ::close(in_pipe[0]);
+  ::close(err_pipe[1]);
+  EXPECT_EQ(::write(in_pipe[1], frame.data(), frame.size()),
+            static_cast<ssize_t>(frame.size()));
+  ::close(in_pipe[1]);
+  std::string log;
+  char chunk[512];
+  for (ssize_t n; (n = ::read(err_pipe[0], chunk, sizeof(chunk))) != 0;) {
+    if (n > 0) log.append(chunk, static_cast<std::size_t>(n));
+    else if (errno != EINTR) break;
+  }
+  ::close(err_pipe[0]);
+  int status = 0;
+  while (::waitpid(pid, &status, 0) < 0 && errno == EINTR) {
+  }
+  ASSERT_TRUE(WIFEXITED(status)) << "worker died on a signal; stderr:\n" << log;
+  EXPECT_EQ(WEXITSTATUS(status), 6) << log;
+  EXPECT_NE(log.find("campaign.options.unknown_implementation"), std::string::npos) << log;
 }
 
 // Multi-cell differential: the sharded merge reproduces the in-process

@@ -1,4 +1,4 @@
-// shard wire form (DSHD v2) receipts: codec round-trips for every message
+// shard wire form (DSHD v3) receipts: codec round-trips for every message
 // kind, canonical-bytes equality (equal values -> equal bytes), framing
 // reassembly under adversarial chunking, and the svc_store-style robustness
 // pass the coordinator stakes its uptime on — EVERY truncated prefix and
@@ -31,7 +31,6 @@ namespace {
   options.budgets.clone_event_budget = 123'456;
   options.parallelism.workers = 4;
   options.parallelism.nested = false;
-  options.caching.share_solver_cache = true;
   job.cells = {0, 2, 4, 11};
   job.unsat_seed = {0xdead, 0xbeef};
   return job;
@@ -159,12 +158,20 @@ TEST(ShardWire, ShardDoneAndDescriptorRoundTrip) {
 }
 
 // Byte pins: FNV-1a over one encoding of every message kind. Any change
-// to a record's field order or primitive moves one of these.
+// to a record's field order or primitive moves one of these. The version
+// byte (offset 4) sits inside every frame. The records v3 left alone keep
+// their v2 pins: each is hashed with that byte set back to 2, after the
+// byte itself is checked against kVersion, so every byte stays pinned.
 TEST(ShardWire, EncodedBytesArePinned) {
-  EXPECT_EQ(util::fnv1a(encode_job(make_job())), 0x9a8b4351a013bd2eull);
-  EXPECT_EQ(util::fnv1a(encode_cell_result(make_cell_result())), 0xb11f722c9773bb38ull);
-  EXPECT_EQ(util::fnv1a(encode_shard_done({4, 2, {9}})), 0x79aa5b2a9f8e9ca6ull);
-  EXPECT_EQ(util::fnv1a(encode_cell_descriptor(
+  const auto hash_as_v2 = [](util::Bytes frame) {
+    EXPECT_EQ(frame[4], kVersion);
+    frame[4] = 2;
+    return util::fnv1a(frame);
+  };
+  EXPECT_EQ(util::fnv1a(encode_job(make_job())), 0xd78b52d948905f57ull);
+  EXPECT_EQ(hash_as_v2(encode_cell_result(make_cell_result())), 0xb11f722c9773bb38ull);
+  EXPECT_EQ(hash_as_v2(encode_shard_done({4, 2, {9}})), 0x79aa5b2a9f8e9ca6ull);
+  EXPECT_EQ(hash_as_v2(encode_cell_descriptor(
                 WireCellDescriptor{1, "ring6", "random", 3, ""})),
             0x73cf8c93cd7a0b50ull);
 }
@@ -263,15 +270,15 @@ TEST(ShardWire, ForgedJobCountFailsTyped) {
   EXPECT_EQ(decoded.error().code, "bytes.truncated");
 }
 
-TEST(ShardWire, V1FrameFailsWithVersionCode) {
-  // v2 dropped a campaign-spec flag, so a v1 job's payload no longer lines
-  // up field for field: a v1 peer must be refused at the version byte,
-  // before any payload parse, even when its checksum is intact.
-  static_assert(kVersion == 2);
-  util::Bytes v1 = encode_job(make_job());
-  ASSERT_EQ(v1[4], kVersion);
-  v1[4] = 1;
-  auto decoded = decode_message(v1);
+TEST(ShardWire, V2FrameFailsWithVersionCode) {
+  // v3 dropped six campaign-spec fields, so a v2 job's payload no longer
+  // lines up field for field: a v2 peer must be refused at the version
+  // byte, before any payload parse, even when its checksum is intact.
+  static_assert(kVersion == 3);
+  util::Bytes v2 = encode_job(make_job());
+  ASSERT_EQ(v2[4], kVersion);
+  v2[4] = 2;
+  auto decoded = decode_message(v2);
   ASSERT_FALSE(decoded.ok());
   EXPECT_EQ(decoded.error().code, "shard.wire.version");
 }

@@ -2,8 +2,8 @@
 // and NOTHING observable moves. The receipts: (1) a zero-churn snapshot
 // writes one byte per node and resolves to the baseline's decoded objects
 // (pointer-shared, not re-decoded); (2) churn re-encodes only the churned
-// nodes; (3) the committed topology27 fault-set hash 63f680b04458c2a9 is
-// byte-identical on the full and delta paths at workers 1, 2, 4 and 8;
+// nodes; (3) the Orchestrator's delta path reproduces the committed
+// topology27 fault-set hash 63f680b04458c2a9 at workers 1, 2, 4 and 8;
 // (4) a delta stream against a missing or wrong baseline fails with the
 // stable codes, never a silent wrong restore; (5) streams in the retired
 // fixed-width format are refused by both engines with one typed code.
@@ -191,10 +191,10 @@ TEST(SnapshotDeltaTest, RetiredFixedWidthStreamIsRefusedByBothEngines) {
 }
 
 // ---------------------------------------------------------------------------
-// The acceptance pin: full vs delta, workers 1/2/4/8, one literal hash
+// The acceptance pin: delta path, workers 1/2/4/8, one literal hash
 // ---------------------------------------------------------------------------
 
-[[nodiscard]] std::uint64_t topology27_hash(std::size_t workers, bool delta) {
+[[nodiscard]] std::uint64_t topology27_hash(std::size_t workers) {
   bgp::SystemBlueprint blueprint = make_internet();  // 27 routers
   bgp::inject_hijack(blueprint, /*victim=*/12, /*attacker=*/20, /*more_specific=*/true);
   bgp::inject_bug(blueprint, /*node=*/5, bgp::bugs::kCommunityLength);
@@ -202,7 +202,6 @@ TEST(SnapshotDeltaTest, RetiredFixedWidthStreamIsRefusedByBothEngines) {
   DiceOptions options;
   options.inputs_per_episode = 32;
   options.parallelism = workers;
-  options.delta_snapshots = delta;
   Orchestrator dice(std::move(blueprint), options);
   EXPECT_TRUE(dice.bootstrap());
   GrammarStrategy strategy(/*corruption_rate=*/0.05, /*rng_seed=*/0xf1f1);
@@ -211,20 +210,13 @@ TEST(SnapshotDeltaTest, RetiredFixedWidthStreamIsRefusedByBothEngines) {
     delta_nodes += dice.run_episode(strategy).snapshot_delta_nodes;
   }
   // Episode 1 has no baseline (all full); episode 2 deltas the quiet nodes.
-  if (delta) {
-    EXPECT_GT(delta_nodes, 0u) << "delta path never engaged";
-  } else {
-    EXPECT_EQ(delta_nodes, 0u) << "delta engaged while disabled";
-  }
+  EXPECT_GT(delta_nodes, 0u) << "delta path never engaged";
   return svc::fault_set_hash(dice.all_faults());
 }
 
-TEST(SnapshotDeltaTest, Topology27FaultHashByteIdenticalFullVsDelta) {
+TEST(SnapshotDeltaTest, Topology27FaultHashPinnedOnDeltaPathAtEveryWorkerCount) {
   for (const std::size_t workers : {1u, 2u, 4u, 8u}) {
-    EXPECT_EQ(topology27_hash(workers, /*delta=*/true), kTopology27FaultHash)
-        << "delta path, workers=" << workers;
-    EXPECT_EQ(topology27_hash(workers, /*delta=*/false), kTopology27FaultHash)
-        << "full path, workers=" << workers;
+    EXPECT_EQ(topology27_hash(workers), kTopology27FaultHash) << "workers=" << workers;
   }
 }
 
