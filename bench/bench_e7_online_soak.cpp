@@ -24,7 +24,6 @@
 #include <string>
 
 #include "bench_util.hpp"
-#include "bgp/bugs.hpp"
 #include "bgp/topology.hpp"
 #include "svc/soak_service.hpp"
 
@@ -35,11 +34,8 @@ using namespace dice;
 constexpr std::uint64_t kReceiptHash = 0x63f680b04458c2a9ull;
 
 [[nodiscard]] std::vector<explore::ScenarioSpec> receipt_scenarios() {
-  bgp::SystemBlueprint fig1 = bgp::make_internet();
-  bgp::inject_hijack(fig1, /*victim=*/12, /*attacker=*/20, /*more_specific=*/true);
-  bgp::inject_bug(fig1, 5, bgp::bugs::kCommunityLength);
   std::vector<explore::ScenarioSpec> specs;
-  specs.push_back({"topology27", std::move(fig1)});
+  specs.push_back(*explore::bench_scenario("topology27"));
   return specs;
 }
 

@@ -214,10 +214,6 @@ class CampaignOptions::Builder {
     options_.determinism.oscillation_threshold = value;
     return *this;
   }
-  Builder& telemetry(Telemetry value) {
-    options_.telemetry = value;
-    return *this;
-  }
   /// Convenience: span sink only.
   Builder& trace(obs::Trace* value) {
     options_.telemetry.trace = value;
@@ -228,19 +224,9 @@ class CampaignOptions::Builder {
     options_.telemetry.progress_every_cells = value;
     return *this;
   }
-  /// Convenience: liveness-first wall-clock observer only.
-  Builder& wall_observer(CampaignObserver* value) {
-    options_.telemetry.wall_observer = value;
-    return *this;
-  }
   /// Convenience: fixed strategy seed only (receipt campaigns).
   Builder& strategy_seed(std::uint64_t value) {
     options_.determinism.strategy_seed = value;
-    return *this;
-  }
-  /// Convenience: warm-start UNSAT seeding only.
-  Builder& unsat_seed(const std::vector<std::uint64_t>* value) {
-    options_.caching.unsat_seed = value;
     return *this;
   }
   Builder& determinism(Determinism value) {

@@ -114,21 +114,33 @@ std::vector<CellIdentity> enumerate_cells(std::size_t scenario_count,
   return cells;
 }
 
+std::optional<ScenarioSpec> bench_scenario(std::string_view name) {
+  ScenarioSpec spec{std::string(name), {}};
+  if (name == "internet9-clean") {
+    spec.blueprint = bgp::make_internet({2, 3, 4});
+  } else if (name == "internet9-hijack") {
+    spec.blueprint = bgp::make_internet({2, 3, 4});
+    bgp::inject_hijack(spec.blueprint, /*victim=*/5, /*attacker=*/8);
+  } else if (name == "bad-gadget") {
+    spec.blueprint = bgp::make_bad_gadget();
+  } else if (name == "ring6") {
+    spec.blueprint = bgp::make_ring(6);
+  } else if (name == "topology27") {
+    spec.blueprint = bgp::make_internet();  // 27 routers (paper Fig. 1)
+    bgp::inject_hijack(spec.blueprint, /*victim=*/12, /*attacker=*/20,
+                       /*more_specific=*/true);
+    bgp::inject_bug(spec.blueprint, /*node=*/5, bgp::bugs::kCommunityLength);
+  } else {
+    return std::nullopt;
+  }
+  return spec;
+}
+
 std::vector<ScenarioSpec> default_bench_scenarios() {
   std::vector<ScenarioSpec> scenarios;
-  scenarios.push_back({"internet9-clean", bgp::make_internet({2, 3, 4})});
-
-  bgp::SystemBlueprint hijack = bgp::make_internet({2, 3, 4});
-  bgp::inject_hijack(hijack, /*victim=*/5, /*attacker=*/8);
-  scenarios.push_back({"internet9-hijack", std::move(hijack)});
-
-  scenarios.push_back({"bad-gadget", bgp::make_bad_gadget()});
-  scenarios.push_back({"ring6", bgp::make_ring(6)});
-
-  bgp::SystemBlueprint fig1 = bgp::make_internet();  // 27 routers (paper Fig. 1)
-  bgp::inject_hijack(fig1, /*victim=*/12, /*attacker=*/20, /*more_specific=*/true);
-  bgp::inject_bug(fig1, /*node=*/5, bgp::bugs::kCommunityLength);
-  scenarios.push_back({"topology27", std::move(fig1)});
+  for (const std::string_view name : kBenchScenarioNames) {
+    scenarios.push_back(*bench_scenario(name));
+  }
   return scenarios;
 }
 

@@ -17,6 +17,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bgp/topology.hpp"
@@ -35,9 +36,22 @@ struct ScenarioSpec {
   bgp::SystemBlueprint blueprint;
 };
 
-/// The bench topologies as matrix rows: a clean internet, the YouTube-style
-/// hijack, the BAD GADGET policy conflict, a ring, and the paper's
-/// 27-router Figure 1 topology (with its latent hijack + parser bug).
+/// The bench topologies, in matrix-row order: a clean internet, the
+/// YouTube-style hijack, the BAD GADGET policy conflict, a ring, and the
+/// paper's 27-router Figure 1 topology (with its latent hijack + parser
+/// bug).
+inline constexpr std::string_view kBenchScenarioNames[] = {
+    "internet9-clean", "internet9-hijack", "bad-gadget", "ring6", "topology27"};
+
+/// Builds the bench scenario `name` (one of kBenchScenarioNames), or
+/// nullopt for any other name. The ONE construction of each named
+/// scenario: the daemon config, the shard scenario sets and
+/// default_bench_scenarios() all build through it, so a name means the
+/// same blueprint everywhere — "topology27" is the blueprint the pinned
+/// `63f680b04458c2a9` receipt is measured on.
+[[nodiscard]] std::optional<ScenarioSpec> bench_scenario(std::string_view name);
+
+/// Every bench scenario as matrix rows, in kBenchScenarioNames order.
 [[nodiscard]] std::vector<ScenarioSpec> default_bench_scenarios();
 
 enum class StrategyKind : std::uint8_t { kConcolic, kGrammar, kGrammarStrict, kRandom };

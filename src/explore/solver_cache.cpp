@@ -25,17 +25,10 @@ struct SolverCacheMetrics {
 
 }  // namespace
 
-SolverCache::SolverCache(std::size_t shards) {
-  const std::size_t count = std::max<std::size_t>(shards, 1);
-  shards_.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) shards_.push_back(std::make_unique<Shard>());
-}
-
 bool SolverCache::lookup(std::uint64_t key, std::optional<util::Bytes>& result) {
-  Shard& shard = shard_for(key);
   {
-    const std::lock_guard<std::mutex> lock(shard.mutex);
-    if (auto it = shard.entries.find(key); it != shard.entries.end()) {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    if (auto it = entries_.find(key); it != entries_.end()) {
       result = it->second;
       hits_.fetch_add(1, std::memory_order_relaxed);
       solver_cache_metrics().hits.add();
@@ -48,11 +41,10 @@ bool SolverCache::lookup(std::uint64_t key, std::optional<util::Bytes>& result) 
 }
 
 void SolverCache::store(std::uint64_t key, const std::optional<util::Bytes>& result) {
-  Shard& shard = shard_for(key);
-  const std::lock_guard<std::mutex> lock(shard.mutex);
+  const std::lock_guard<std::mutex> lock(mutex_);
   // First write wins: both a model and an UNSAT proof are sound, and
   // keeping the incumbent makes concurrent racing stores commutative.
-  shard.entries.try_emplace(key, result);
+  entries_.try_emplace(key, result);
   stores_.fetch_add(1, std::memory_order_relaxed);
   solver_cache_metrics().stores.add();
 }
@@ -62,30 +54,24 @@ SolverCache::Stats SolverCache::stats() const {
   stats.hits = hits_.load(std::memory_order_relaxed);
   stats.misses = misses_.load(std::memory_order_relaxed);
   stats.stores = stores_.load(std::memory_order_relaxed);
-  for (const auto& shard : shards_) {
-    const std::lock_guard<std::mutex> lock(shard->mutex);
-    stats.entries += shard->entries.size();
-    for (const auto& [key, value] : shard->entries) {
-      if (value.has_value()) ++stats.sat_entries;
-    }
+  const std::lock_guard<std::mutex> lock(mutex_);
+  stats.entries = entries_.size();
+  for (const auto& [key, value] : entries_) {
+    if (value.has_value()) ++stats.sat_entries;
   }
   return stats;
 }
 
 std::size_t SolverCache::size() const {
-  std::size_t total = 0;
-  for (const auto& shard : shards_) {
-    const std::lock_guard<std::mutex> lock(shard->mutex);
-    total += shard->entries.size();
-  }
-  return total;
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return entries_.size();
 }
 
 std::vector<std::uint64_t> SolverCache::unsat_keys() const {
   std::vector<std::uint64_t> keys;
-  for (const auto& shard : shards_) {
-    const std::lock_guard<std::mutex> lock(shard->mutex);
-    for (const auto& [key, value] : shard->entries) {
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    for (const auto& [key, value] : entries_) {
       if (!value.has_value()) keys.push_back(key);
     }
   }
@@ -94,18 +80,13 @@ std::vector<std::uint64_t> SolverCache::unsat_keys() const {
 }
 
 void SolverCache::seed_unsat(const std::vector<std::uint64_t>& keys) {
-  for (const std::uint64_t key : keys) {
-    Shard& shard = shard_for(key);
-    const std::lock_guard<std::mutex> lock(shard.mutex);
-    shard.entries.try_emplace(key, std::nullopt);
-  }
+  const std::lock_guard<std::mutex> lock(mutex_);
+  for (const std::uint64_t key : keys) entries_.try_emplace(key, std::nullopt);
 }
 
 void SolverCache::clear() {
-  for (const auto& shard : shards_) {
-    const std::lock_guard<std::mutex> lock(shard->mutex);
-    shard->entries.clear();
-  }
+  const std::lock_guard<std::mutex> lock(mutex_);
+  entries_.clear();
 }
 
 }  // namespace dice::explore

@@ -8,14 +8,13 @@
 // verified model or a proven-UNSAT marker, so later episodes — possibly on
 // other workers — skip the whole solving pipeline.
 //
-// Lock-striped: keys shard onto independent mutex-guarded maps, so
-// concurrent callers of one cache rarely contend. (ScenarioMatrix gives
-// each cell its own cache, and a cell generates its inputs serially.)
+// One mutex-guarded map: ScenarioMatrix gives each cell its own cache, and
+// a cell generates its inputs serially, so the lock is uncontended there;
+// it keeps the cache safe for any caller that does share one.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <unordered_map>
@@ -28,8 +27,6 @@ namespace dice::explore {
 
 class SolverCache final : public concolic::SolverMemo {
  public:
-  explicit SolverCache(std::size_t shards = 16);
-
   [[nodiscard]] bool lookup(std::uint64_t key, std::optional<util::Bytes>& result) override;
   void store(std::uint64_t key, const std::optional<util::Bytes>& result) override;
 
@@ -61,16 +58,8 @@ class SolverCache final : public concolic::SolverMemo {
   void seed_unsat(const std::vector<std::uint64_t>& keys);
 
  private:
-  struct Shard {
-    mutable std::mutex mutex;
-    std::unordered_map<std::uint64_t, std::optional<util::Bytes>> entries;
-  };
-
-  [[nodiscard]] Shard& shard_for(std::uint64_t key) const {
-    return *shards_[key % shards_.size()];
-  }
-
-  std::vector<std::unique_ptr<Shard>> shards_;
+  mutable std::mutex mutex_;
+  std::unordered_map<std::uint64_t, std::optional<util::Bytes>> entries_;
   std::atomic<std::uint64_t> hits_{0};
   std::atomic<std::uint64_t> misses_{0};
   std::atomic<std::uint64_t> stores_{0};

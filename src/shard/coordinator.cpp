@@ -88,8 +88,11 @@ util::Status ShardOptions::validate() const {
   if (worker_path.empty()) {
     return util::make_error("shard.options.worker_path", "worker_path is empty");
   }
-  if (auto scenarios = resolve_scenario_set(scenario_set); !scenarios) {
-    return util::make_error("shard.options.scenario_set", scenarios.error().detail);
+  // A name check only: run() builds the set's blueprints once, for the deal.
+  const std::vector<std::string> sets = scenario_set_names();
+  if (std::find(sets.begin(), sets.end(), scenario_set) == sets.end()) {
+    return util::make_error("shard.options.scenario_set",
+                            "no scenario set named '" + scenario_set + "'");
   }
   return util::Status::success();
 }
@@ -97,8 +100,7 @@ util::Status ShardOptions::validate() const {
 ShardCoordinator::ShardCoordinator(explore::CampaignOptions campaign, ShardOptions options)
     : campaign_(std::move(campaign)), options_(std::move(options)) {}
 
-util::Result<ShardRunResult> ShardCoordinator::run(
-    explore::CampaignObserver* observer, const std::vector<std::uint64_t>* unsat_seed) {
+util::Result<ShardRunResult> ShardCoordinator::run(explore::CampaignObserver* observer) {
   if (auto status = options_.validate(); !status.ok()) return status.error();
   if (auto status = campaign_.validate(); !status.ok()) return status.error();
   // A worker that died between poll() and our write must surface as EPIPE,
@@ -145,7 +147,6 @@ util::Result<ShardRunResult> ShardCoordinator::run(
     job.scenario_set = options_.scenario_set;
     job.campaign = campaign_;
     job.cells = shard.cells;
-    if (unsat_seed != nullptr) job.unsat_seed = *unsat_seed;
     append_frame(shard.job_frame, encode_job(job));
     if (shard.cells.empty()) {
       shard.resolved = true;
@@ -154,11 +155,6 @@ util::Result<ShardRunResult> ShardCoordinator::run(
     }
   }
   out.shards = unresolved;
-
-  std::vector<std::uint64_t> unsat_union;
-  if (unsat_seed != nullptr) {
-    unsat_union.insert(unsat_union.end(), unsat_seed->begin(), unsat_seed->end());
-  }
 
   // --- spawn ---------------------------------------------------------------
   const auto spawn = [&](Shard& shard) -> util::Status {
@@ -269,8 +265,6 @@ util::Result<ShardRunResult> ShardCoordinator::run(
       merger.record_faults(index, message.faults);
       merger.finish_cell(index);
     }
-    unsat_union.insert(unsat_union.end(), done.unsat_keys.begin(),
-                       done.unsat_keys.end());
     close_fd(shard.proc.out_fd);
     (void)reap(shard.proc.pid);  // worker exits right after its receipt
     shard.live = false;
@@ -405,10 +399,6 @@ util::Result<ShardRunResult> ShardCoordinator::run(
   // cell exactly once and the partial result is well-formed, never short.
   merger.finish_remaining();
   out.matrix.faults = merger.canonical_faults();
-  std::sort(unsat_union.begin(), unsat_union.end());
-  unsat_union.erase(std::unique(unsat_union.begin(), unsat_union.end()),
-                    unsat_union.end());
-  out.matrix.unsat_keys = std::move(unsat_union);
   for (const explore::CellResult& cell : out.matrix.cells) {
     if (cell.completed) ++out.matrix.cells_completed;
   }

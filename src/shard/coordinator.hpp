@@ -86,9 +86,9 @@ struct ShardAttemptFailure {
 
 struct ShardRunResult {
   /// The merged campaign-shaped result: cells in canonical order, faults
-  /// in canonical ledger order (byte-identical to single-process), the
-  /// union of worker unsat keys. Pool/cache stats stay zero — they live in
-  /// the worker processes.
+  /// in canonical ledger order (byte-identical to single-process). Pool
+  /// and cache stats and unsat keys stay empty — they live in the worker
+  /// processes.
   explore::MatrixResult matrix;
   std::size_t shards = 0;
   std::size_t workers_spawned = 0;
@@ -109,14 +109,12 @@ class ShardCoordinator {
 
   /// Deals, spawns, merges; blocks until every shard completed or was
   /// declared lost. Streams the merged canonical cell stream to `observer`
-  /// (may be null) exactly as an in-process Campaign would. `unsat_seed`
-  /// rides into every worker's job frame (warm start); may be null.
-  /// Fails (campaign.options.* / shard.options.* / shard.spawn.*) only on
-  /// configuration or resource errors — worker misbehavior is never an error here, it is
-  /// typed loss data in the result.
+  /// (may be null) exactly as an in-process Campaign would. Fails
+  /// (campaign.options.* / shard.options.* / shard.spawn.*) only on
+  /// configuration or resource errors — worker misbehavior is never an
+  /// error here, it is typed loss data in the result.
   [[nodiscard]] util::Result<ShardRunResult> run(
-      explore::CampaignObserver* observer = nullptr,
-      const std::vector<std::uint64_t>* unsat_seed = nullptr);
+      explore::CampaignObserver* observer = nullptr);
 
   [[nodiscard]] const ShardOptions& options() const noexcept { return options_; }
 

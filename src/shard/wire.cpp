@@ -30,8 +30,7 @@ void fields(Io& io, util::IoRef<Io, explore::CampaignOptions> options) {
   auto& [seeds, implementations, strategy_seed, oscillation_threshold, bootstrap_early_exit] =
       determinism;
   // Process-local, never shipped: each process owns its bootstrap cache and
-  // its bound, its pool, telemetry and deadline; the UNSAT seed travels as
-  // JobSpec::unsat_seed.
+  // its bound, its UNSAT seed, its pool, telemetry and deadline.
   static_cast<void>(std::tie(live_cache, live_cache_max_entries, unsat_seed, pool, trace,
                              progress_every_cells, wall_observer, deadline));
 
@@ -86,7 +85,6 @@ void fields(Io& io, util::IoRef<Io, JobSpec> job) {
   io.str(job.scenario_set);
   fields(io, job.campaign);
   io.seq(job.cells, [&](auto& cell) { io.u64(cell); });
-  io.seq(job.unsat_seed, [&](auto& key) { io.u64(key); });
 }
 
 template <class Io>
@@ -100,7 +98,6 @@ template <class Io>
 void fields(Io& io, util::IoRef<Io, ShardDoneMsg> message) {
   io.u64(message.shard_id);
   io.vu64(message.cells_sent);
-  io.seq(message.unsat_keys, [&](auto& key) { io.u64(key); });
 }
 
 template <class Io>

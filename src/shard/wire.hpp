@@ -1,4 +1,4 @@
-// shard wire form (DSHD v3): the frames a ShardCoordinator and a
+// shard wire form (DSHD v4): the frames a ShardCoordinator and a
 // dice_shard_worker exchange over pipes.
 //
 // Every message is one util::Envelope, the sealed envelope DSVC store files
@@ -20,9 +20,8 @@
 //                   CellResult scalars plus the cell's deduplicated fault
 //                   reports in serial encounter order, exactly what the
 //                   in-process matrix would have handed the merger.
-//   kShardDone      worker -> coordinator: terminal receipt — cell count
-//                   (the coordinator rejects a short shard) and the
-//                   shard's accumulated proven-UNSAT solver keys.
+//   kShardDone      worker -> coordinator: terminal receipt — the cell
+//                   count (the coordinator rejects a short shard).
 //   kCellDescriptor standalone CellDescriptor codec (logging, tests).
 //
 // Determinism contract (docs/SHARDING.md): everything that pins fault
@@ -48,11 +47,10 @@
 namespace dice::shard {
 
 inline constexpr char kMagic[4] = {'D', 'S', 'H', 'D'};
-/// v3 dropped six campaign knobs no caller set (the clone time budget, the
-/// baseline-clone, shared-solver-cache, delta-snapshot and oscillation
-/// early-exit flags, and the clone RNG seed); an older frame fails with
-/// `shard.wire.version`.
-inline constexpr std::uint8_t kVersion = 3;
+/// v4 dropped the proven-UNSAT key sequences (JobSpec::unsat_seed and
+/// ShardDoneMsg::unsat_keys): workers start with an empty solver memo and
+/// none crosses back. An older frame fails with `shard.wire.version`.
+inline constexpr std::uint8_t kVersion = 4;
 /// Hard ceiling on one frame (64 MiB): a corrupt length prefix must not
 /// make the coordinator allocate unbounded memory.
 inline constexpr std::size_t kMaxFrameBytes = std::size_t{1} << 26;
@@ -73,10 +71,6 @@ struct JobSpec {
   /// deadline) are left unset on decode: the worker owns its own.
   explore::CampaignOptions campaign;
   std::vector<std::uint64_t> cells;  ///< canonical indices (enumerate_cells)
-  /// Proven-UNSAT solver keys to pre-seed the worker's caches with — the
-  /// warm-start path crossing the process boundary. Sound and byte-stable
-  /// (a seeded hit returns the verdict a fresh solve would reach).
-  std::vector<std::uint64_t> unsat_seed;
 
   bool operator==(const JobSpec&) const = default;
 };
@@ -98,7 +92,6 @@ struct ShardDoneMsg {
   /// done whose count disagrees with what it received or was dealt — a
   /// silently short merge is a failed attempt, never a success.
   std::uint64_t cells_sent = 0;
-  std::vector<std::uint64_t> unsat_keys;
 
   bool operator==(const ShardDoneMsg&) const = default;
 };

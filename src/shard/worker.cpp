@@ -169,10 +169,6 @@ int worker_main(int in_fd, int out_fd, const WorkerChaos& chaos) {
 
   explore::MatrixOptions options = campaign.to_matrix_options();
   options.cell_subset.emplace(job.value().cells.begin(), job.value().cells.end());
-  // Warm-start seeding crosses the process boundary with the job; the
-  // vector must outlive run().
-  const std::vector<std::uint64_t> unsat_seed = job.value().unsat_seed;
-  if (!unsat_seed.empty()) options.unsat_seed = &unsat_seed;
 
   explore::ExplorePool pool(campaign.parallelism.workers);
   explore::ScenarioMatrix matrix(std::move(scenarios).take(), options);
@@ -185,7 +181,6 @@ int worker_main(int in_fd, int out_fd, const WorkerChaos& chaos) {
   ShardDoneMsg done;
   done.shard_id = job.value().shard_id;
   done.cells_sent = observer.sent();
-  done.unsat_keys = result.unsat_keys;
   util::Bytes frame;
   append_frame(frame, encode_shard_done(done));
   if (!write_all(out_fd, frame)) return 3;

@@ -8,8 +8,6 @@
 
 #include "obs/metrics.hpp"
 #include "obs/names.hpp"
-#include "shard/coordinator.hpp"
-#include "shard/scenario_set.hpp"
 #include "snapshot/live_state.hpp"
 #include "util/hash.hpp"
 #include "util/log.hpp"
@@ -137,17 +135,6 @@ util::Status SoakOptions::validate() const {
   if (round_interval.count() < 0) {
     return util::make_error("svc.options.negative_interval",
                             "round_interval cannot be negative");
-  }
-  if (shard_processes > 0) {
-    if (shard_worker_path.empty()) {
-      return util::make_error("svc.options.shard_worker_path",
-                              "shard_processes > 0 requires shard_worker_path");
-    }
-    if (auto resolved = shard::resolve_scenario_set(shard_scenario_set);
-        !resolved.ok()) {
-      return util::make_error("svc.options.shard_scenario_set",
-                              resolved.error().detail);
-    }
   }
   return campaign.validate();
 }
@@ -317,17 +304,6 @@ void SoakService::harvest_locked(const explore::MatrixResult& result) {
 }
 
 void SoakService::apply_pending_swap_locked() {
-  if (pending_shard_.has_value()) {
-    options_.shard_processes = *pending_shard_;
-    pending_shard_.reset();
-    ++report_.knob_swaps;
-    svc_metrics().knob_swaps.add(1);
-    logger().info() << "shard swap applied at round " << report_.rounds << ": "
-                    << (options_.shard_processes == 0
-                            ? std::string("in-process")
-                            : std::to_string(options_.shard_processes) +
-                                  " worker process(es)");
-  }
   if (!pending_.has_value()) return;
   options_.campaign = std::move(*pending_);
   pending_.reset();
@@ -346,54 +322,17 @@ void SoakService::apply_pending_swap_locked() {
 
 RoundSummary SoakService::run_round() {
   std::uint64_t round = 0;
-  shard::ShardOptions shard_options;
-  std::vector<std::uint64_t> unsat_seed;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     apply_pending_swap_locked();
     round = report_.rounds;
-    shard_options.processes = options_.shard_processes;
-    if (shard_options.processes > 0) {
-      shard_options.worker_path = options_.shard_worker_path;
-      shard_options.scenario_set = options_.shard_scenario_set;
-      unsat_seed = unsat_;  // the warm-start memo crossing to the workers
-    }
   }
 
   // The round itself runs unlocked: swap_options()/report() stay reachable
   // while cells execute. The thread model (one driver) guarantees nobody
   // rebuilds campaign_ underneath us.
   FoldObserver fold;
-  explore::CampaignResult result;
-  if (shard_options.processes > 0) {
-    // Sharded round: the coordinator deals the identical cell space to
-    // worker processes and merges through the same CellMerger, so the
-    // canonical stream FoldObserver sees — and every hash downstream — is
-    // byte-identical to the in-process branch. Worker bootstrap caches die
-    // with their processes (no live-state harvest crosses back); the UNSAT
-    // memo crosses in both directions via the job/done frames. A stop
-    // request interrupts at the round boundary, not mid-round.
-    const auto begin = std::chrono::steady_clock::now();
-    auto sharded =
-        shard::ShardCoordinator(options_.campaign, shard_options).run(&fold, &unsat_seed);
-    if (sharded.ok()) {
-      for (const shard::ShardLoss& loss : sharded.value().losses) {
-        logger().warn() << "round " << round << " lost shard " << loss.shard
-                        << " (" << loss.cells.size() << " cell(s), " << loss.code
-                        << "): " << loss.detail;
-      }
-      static_cast<explore::MatrixResult&>(result) = std::move(sharded.value().matrix);
-    } else {
-      logger().warn() << "sharded round " << round << " failed ("
-                      << sharded.error().code << "): " << sharded.error().detail;
-      result.stopped = true;
-    }
-    result.wall_ms = std::chrono::duration<double, std::milli>(
-                         std::chrono::steady_clock::now() - begin)
-                         .count();
-  } else {
-    result = campaign_->run(&fold, stop_.token());
-  }
+  const explore::CampaignResult result = campaign_->run(&fold, stop_.token());
 
   RoundSummary summary;
   summary.round = round;
@@ -518,23 +457,6 @@ util::Status SoakService::swap_options(explore::CampaignOptions next) {
   if (util::Status status = next.validate(); !status.ok()) return status;
   const std::lock_guard<std::mutex> lock(mutex_);
   pending_ = std::move(next);  // last queued swap wins
-  return util::Status::success();
-}
-
-util::Status SoakService::swap_shard_processes(std::size_t processes) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  if (processes > 0) {
-    if (options_.shard_worker_path.empty()) {
-      return util::make_error("svc.options.shard_worker_path",
-                              "cannot swap to sharded mode without shard_worker_path");
-    }
-    if (auto resolved = shard::resolve_scenario_set(options_.shard_scenario_set);
-        !resolved.ok()) {
-      return util::make_error("svc.options.shard_scenario_set",
-                              resolved.error().detail);
-    }
-  }
-  pending_shard_ = processes;  // last queued swap wins
   return util::Status::success();
 }
 

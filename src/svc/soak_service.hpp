@@ -81,20 +81,6 @@ struct SoakOptions {
   /// memo from it. Off = ignore any existing store (still saved to, if
   /// `store_path` is set).
   bool warm_start = true;
-  /// Worker PROCESSES per round: 0 = in-process rounds (the default), N>0 =
-  /// each round runs through shard::ShardCoordinator, dealing the cell
-  /// space to N spawned dice_shard_worker processes and merging their
-  /// results. The merged canonical stream is byte-identical to an
-  /// in-process round (same CellMerger), so every round receipt — fault
-  /// hash included — is unchanged by this knob.
-  std::size_t shard_processes = 0;
-  /// Path to the dice_shard_worker binary; required when shard_processes>0.
-  std::string shard_worker_path{};
-  /// Named scenario set (shard::resolve_scenario_set) the workers rebuild.
-  /// Must resolve to the same scenarios this service was constructed with,
-  /// or round hashes will (correctly) differ. Required when
-  /// shard_processes > 0.
-  std::string shard_scenario_set{};
 
   /// Rejects nonsense with stable "svc.options.*" codes (and whatever
   /// "campaign.options.*" code the nested options fail with).
@@ -190,15 +176,6 @@ class SoakService {
   /// carries across the swap for keys the new options still produce.
   [[nodiscard]] util::Status swap_options(explore::CampaignOptions next);
 
-  /// Queues a shard-mode change — N>0 worker processes, or 0 back to
-  /// in-process — applied exactly at the next round boundary, like
-  /// swap_options. Warm state carries across the swap: the UNSAT memo
-  /// crosses the process boundary in both directions, and live states
-  /// harvested from in-process rounds stay primed for the swap back.
-  /// Rejects (typed "svc.options.*") when N>0 but shard_worker_path or
-  /// shard_scenario_set is unusable.
-  [[nodiscard]] util::Status swap_shard_processes(std::size_t processes);
-
   /// Snapshot of the cumulative report (copy; safe while the loop runs).
   [[nodiscard]] SoakReport report() const;
   /// Persists store + report + metrics now (first error wins). The round
@@ -243,7 +220,6 @@ class SoakService {
   SoakReport report_;
   StoreContents contents_;
   std::optional<explore::CampaignOptions> pending_;
-  std::optional<std::size_t> pending_shard_;
   util::Error store_error_;
 
   explore::StopSource stop_;

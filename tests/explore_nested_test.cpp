@@ -36,9 +36,7 @@ constexpr std::uint64_t kTopology27FaultHash = 0x63f680b04458c2a9ULL;
 /// episodes through an externally-owned pool (the global-budget machinery);
 /// otherwise the orchestrator owns a private pool when workers > 1.
 [[nodiscard]] std::uint64_t topology27_hash(std::size_t workers, bool shared) {
-  bgp::SystemBlueprint blueprint = bgp::make_internet();  // 27 routers
-  bgp::inject_hijack(blueprint, /*victim=*/12, /*attacker=*/20, /*more_specific=*/true);
-  bgp::inject_bug(blueprint, /*node=*/5, bgp::bugs::kCommunityLength);
+  bgp::SystemBlueprint blueprint = bench_scenario("topology27")->blueprint;
 
   ExplorePool pool(shared ? workers : 1);
   DiceOptions options;

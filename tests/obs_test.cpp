@@ -306,10 +306,7 @@ constexpr std::uint64_t kTopology27FaultHash = 0x63f680b04458c2a9ULL;
 
 [[nodiscard]] std::uint64_t topology27_hash_with_trace(std::size_t workers,
                                                        Trace* trace) {
-  bgp::SystemBlueprint blueprint = bgp::make_internet();  // 27 routers
-  bgp::inject_hijack(blueprint, /*victim=*/12, /*attacker=*/20,
-                     /*more_specific=*/true);
-  bgp::inject_bug(blueprint, /*node=*/5, bgp::bugs::kCommunityLength);
+  bgp::SystemBlueprint blueprint = explore::bench_scenario("topology27")->blueprint;
 
   explore::ExplorePool pool(workers);
   core::DiceOptions options;

@@ -1,4 +1,4 @@
-// shard wire form (DSHD v3) receipts: codec round-trips for every message
+// shard wire form (DSHD v4) receipts: codec round-trips for every message
 // kind, canonical-bytes equality (equal values -> equal bytes), framing
 // reassembly under adversarial chunking, and the svc_store-style robustness
 // pass the coordinator stakes its uptime on — EVERY truncated prefix and
@@ -32,7 +32,6 @@ namespace {
   options.parallelism.workers = 4;
   options.parallelism.nested = false;
   job.cells = {0, 2, 4, 11};
-  job.unsat_seed = {0xdead, 0xbeef};
   return job;
 }
 
@@ -137,7 +136,6 @@ TEST(ShardWire, ShardDoneAndDescriptorRoundTrip) {
   ShardDoneMsg done;
   done.shard_id = 2;
   done.cells_sent = 9;
-  done.unsat_keys = {1, 2, 3};
   const util::Bytes done_bytes = encode_shard_done(done);
   auto done_decoded = decode_message(done_bytes);
   ASSERT_TRUE(done_decoded.ok());
@@ -159,18 +157,19 @@ TEST(ShardWire, ShardDoneAndDescriptorRoundTrip) {
 
 // Byte pins: FNV-1a over one encoding of every message kind. Any change
 // to a record's field order or primitive moves one of these. The version
-// byte (offset 4) sits inside every frame. The records v3 left alone keep
-// their v2 pins: each is hashed with that byte set back to 2, after the
-// byte itself is checked against kVersion, so every byte stays pinned.
+// byte (offset 4) sits inside every frame. The records v3 and v4 left
+// alone keep their v2 pins: each is hashed with that byte set back to 2,
+// after the byte itself is checked against kVersion, so every byte stays
+// pinned.
 TEST(ShardWire, EncodedBytesArePinned) {
   const auto hash_as_v2 = [](util::Bytes frame) {
     EXPECT_EQ(frame[4], kVersion);
     frame[4] = 2;
     return util::fnv1a(frame);
   };
-  EXPECT_EQ(util::fnv1a(encode_job(make_job())), 0xd78b52d948905f57ull);
+  EXPECT_EQ(util::fnv1a(encode_job(make_job())), 0x5a83287d8ae6bebcull);
   EXPECT_EQ(hash_as_v2(encode_cell_result(make_cell_result())), 0xb11f722c9773bb38ull);
-  EXPECT_EQ(hash_as_v2(encode_shard_done({4, 2, {9}})), 0x79aa5b2a9f8e9ca6ull);
+  EXPECT_EQ(util::fnv1a(encode_shard_done({4, 2})), 0x8b98dbcaf7d1e286ull);
   EXPECT_EQ(hash_as_v2(encode_cell_descriptor(
                 WireCellDescriptor{1, "ring6", "random", 3, ""})),
             0x73cf8c93cd7a0b50ull);
@@ -188,7 +187,7 @@ TEST(ShardWire, EveryTruncationAndFlipFailsTyped) {
   std::vector<util::Bytes> messages;
   messages.push_back(encode_job(make_job()));
   messages.push_back(encode_cell_result(make_cell_result()));
-  messages.push_back(encode_shard_done({4, 2, {9}}));
+  messages.push_back(encode_shard_done({4, 2}));
   messages.push_back(
       encode_cell_descriptor(WireCellDescriptor{1, "ring6", "random", 3, ""}));
   for (const util::Bytes& bytes : messages) {
@@ -228,7 +227,7 @@ TEST(ShardWire, EveryTruncationAndFlipFailsTyped) {
 }
 
 TEST(ShardWire, SpecificCorruptionsYieldSpecificCodes) {
-  const util::Bytes bytes = encode_shard_done({1, 1, {}});
+  const util::Bytes bytes = encode_shard_done({1, 1});
   util::Bytes bad_magic = bytes;
   bad_magic[0] = 'X';
   EXPECT_EQ(decode_message(bad_magic).error().code, "shard.wire.magic");
@@ -270,22 +269,22 @@ TEST(ShardWire, ForgedJobCountFailsTyped) {
   EXPECT_EQ(decoded.error().code, "bytes.truncated");
 }
 
-TEST(ShardWire, V2FrameFailsWithVersionCode) {
-  // v3 dropped six campaign-spec fields, so a v2 job's payload no longer
-  // lines up field for field: a v2 peer must be refused at the version
+TEST(ShardWire, V3FrameFailsWithVersionCode) {
+  // v4 dropped the UNSAT key sequences, so a v3 job's payload no longer
+  // lines up field for field: a v3 peer must be refused at the version
   // byte, before any payload parse, even when its checksum is intact.
-  static_assert(kVersion == 3);
-  util::Bytes v2 = encode_job(make_job());
-  ASSERT_EQ(v2[4], kVersion);
-  v2[4] = 2;
-  auto decoded = decode_message(v2);
+  static_assert(kVersion == 4);
+  util::Bytes v3 = encode_job(make_job());
+  ASSERT_EQ(v3[4], kVersion);
+  v3[4] = 3;
+  auto decoded = decode_message(v3);
   ASSERT_FALSE(decoded.ok());
   EXPECT_EQ(decoded.error().code, "shard.wire.version");
 }
 
 TEST(ShardWire, FrameBufferReassemblesByteAtATime) {
   const util::Bytes first = encode_cell_result(make_cell_result());
-  const util::Bytes second = encode_shard_done({0, 1, {5}});
+  const util::Bytes second = encode_shard_done({0, 1});
   util::Bytes stream;
   append_frame(stream, first);
   append_frame(stream, second);

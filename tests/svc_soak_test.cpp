@@ -18,8 +18,6 @@
 #include <fstream>
 #include <iterator>
 
-#include "bgp/bugs.hpp"
-#include "bgp/topology.hpp"
 #include "obs/metrics.hpp"
 #include "obs/names.hpp"
 #include "svc/soak_observer.hpp"
@@ -33,11 +31,8 @@ namespace {
 constexpr std::uint64_t kReceiptHash = 0x63f680b04458c2a9ull;
 
 [[nodiscard]] std::vector<explore::ScenarioSpec> receipt_scenarios() {
-  bgp::SystemBlueprint fig1 = bgp::make_internet();
-  bgp::inject_hijack(fig1, /*victim=*/12, /*attacker=*/20, /*more_specific=*/true);
-  bgp::inject_bug(fig1, 5, bgp::bugs::kCommunityLength);
   std::vector<explore::ScenarioSpec> specs;
-  specs.push_back({"topology27", std::move(fig1)});
+  specs.push_back(*explore::bench_scenario("topology27"));
   return specs;
 }
 
@@ -342,98 +337,6 @@ TEST(SoakServiceTest, ReportJsonHasStableShape) {
   EXPECT_NE(json.find("\\\"and\\\\"), std::string::npos);
   EXPECT_NE(json.find("line\\nbreak"), std::string::npos);
   EXPECT_EQ(json.find('\n'), std::string::npos);  // single line, atomic-friendly
-}
-
-// ---------------------------------------------------------------------------
-// Sharded rounds: the cross-process knob changes nothing observable
-// ---------------------------------------------------------------------------
-
-[[nodiscard]] SoakOptions sharded_receipt_options(std::size_t processes,
-                                                  std::string store_path = {}) {
-  SoakOptions options = receipt_options(/*workers=*/2, std::move(store_path));
-  options.shard_processes = processes;
-  options.shard_worker_path = DICE_SHARD_WORKER_PATH;
-  options.shard_scenario_set = "topology27";
-  return options;
-}
-
-TEST(SoakServiceShardTest, OptionsValidateShardFields) {
-  SoakOptions options = sharded_receipt_options(2);
-  EXPECT_TRUE(options.validate().ok());
-  options.shard_worker_path.clear();
-  EXPECT_EQ(options.validate().error().code, "svc.options.shard_worker_path");
-  options = sharded_receipt_options(2);
-  options.shard_scenario_set = "no-such-set";
-  EXPECT_EQ(options.validate().error().code, "svc.options.shard_scenario_set");
-  // shard_processes == 0 ignores the shard fields entirely.
-  options.shard_processes = 0;
-  EXPECT_TRUE(options.validate().ok());
-}
-
-TEST(SoakServiceShardTest, ShardedRoundsReproduceTheReceiptHash) {
-  SoakService service(receipt_scenarios(), sharded_receipt_options(2));
-  for (int round = 0; round < 2; ++round) {
-    const RoundSummary summary = service.run_round();
-    EXPECT_EQ(summary.fault_hash, kReceiptHash) << "round=" << round;
-    EXPECT_EQ(summary.cells_completed, 1u);
-    EXPECT_FALSE(summary.stopped);
-    // Worker processes are fresh each round: no cache resumes.
-    EXPECT_EQ(summary.cells_from_cache, 0u);
-  }
-  // Cross-round dedup still holds: sharded round 2 re-finds, adds nothing.
-  const SoakReport report = service.report();
-  ASSERT_EQ(report.round_summaries.size(), 2u);
-  EXPECT_EQ(report.round_summaries[1].new_faults, 0u);
-}
-
-TEST(SoakServiceShardTest, StoreStaysValidAcrossAShardedRound) {
-  const std::string store = temp_path("svc_soak_sharded.dsvc");
-
-  // Round 0 in-process (harvests topology27's live state into the store),
-  // then a knob swap to sharded mode for round 1.
-  {
-    SoakService service(receipt_scenarios(), sharded_receipt_options(0, store));
-    EXPECT_EQ(service.run_round().fault_hash, kReceiptHash);
-    ASSERT_TRUE(service.swap_shard_processes(2).ok());
-    const RoundSummary sharded = service.run_round();
-    EXPECT_EQ(sharded.fault_hash, kReceiptHash);
-    EXPECT_EQ(sharded.cells_from_cache, 0u) << "round 1 must have run sharded";
-    EXPECT_EQ(service.report().knob_swaps, 1u);
-  }
-
-  // The store written after the sharded round is still a valid warm-start:
-  // live states harvested in-process survive the sharded interlude.
-  SoakService restarted(receipt_scenarios(), sharded_receipt_options(0, store));
-  EXPECT_TRUE(restarted.store_error().code.empty());
-  EXPECT_TRUE(restarted.report().warm_started);
-  const RoundSummary warm = restarted.run_round();
-  EXPECT_EQ(warm.fault_hash, kReceiptHash);
-  EXPECT_EQ(warm.cells_from_cache, 1u) << "restart must resume from the store";
-}
-
-TEST(SoakServiceShardTest, SwapToAndFromShardedAtRoundBoundaries) {
-  SoakOptions options = sharded_receipt_options(2);
-  options.shard_processes = 0;  // start in-process, shard fields configured
-  SoakService service(receipt_scenarios(), options);
-
-  EXPECT_EQ(service.run_round().fault_hash, kReceiptHash);  // round 0: in-process
-  ASSERT_TRUE(service.swap_shard_processes(4).ok());
-  const RoundSummary sharded = service.run_round();  // round 1: 4 processes
-  EXPECT_EQ(sharded.fault_hash, kReceiptHash);
-  EXPECT_EQ(sharded.cells_from_cache, 0u);
-  ASSERT_TRUE(service.swap_shard_processes(0).ok());
-  const RoundSummary back = service.run_round();  // round 2: in-process again
-  EXPECT_EQ(back.fault_hash, kReceiptHash);
-  // The service cache survived the sharded interlude: round 2 resumes the
-  // bootstrap round 0 harvested.
-  EXPECT_EQ(back.cells_from_cache, 1u);
-  EXPECT_EQ(service.report().knob_swaps, 2u);
-
-  // Swap rejections are typed and change nothing.
-  SoakOptions bare = receipt_options(2);
-  SoakService unconfigured(receipt_scenarios(), bare);
-  EXPECT_EQ(unconfigured.swap_shard_processes(2).error().code,
-            "svc.options.shard_worker_path");
 }
 
 }  // namespace

@@ -21,16 +21,12 @@
 #      table row (`| `foo` | ...`) in docs/HETEROGENEITY.md, and every
 #      table-row id there must exist as a constant — registering a third
 #      engine or renaming one without documenting it fails here.
-#   6. svc::SoakOptions <-> docs/SERVICE.md: every field of SoakOptions
-#      (src/svc/soak_service.hpp) must have a knob table row in
-#      docs/SERVICE.md, and every table-row knob there must be declared in
-#      that header — the soak daemon's own knobs get the same two-way gate
-#      as the campaign's.
-#   7. shard::ShardOptions <-> docs/SHARDING.md: every field of
-#      ShardOptions (src/shard/coordinator.hpp) must have a knob table row
-#      in docs/SHARDING.md, and every table-row knob there must be
-#      declared in that header — the cross-process coordinator's knobs get
-#      the same two-way gate.
+#   6. svc::SoakOptions <-> docs/SERVICE.md and
+#   7. shard::ShardOptions <-> docs/SHARDING.md: every field of the struct
+#      must have a knob table row in its doc, and every table-row knob
+#      there must be declared in the struct's header — the soak daemon's
+#      and the coordinator's own knobs get the same two-way gate as the
+#      campaign's (one function, check_struct_table, run once per pair).
 #
 # Exit nonzero on any drift; print every offender, not just the first.
 set -u
@@ -165,62 +161,45 @@ for impl in $doc_impls; do
   fi
 done
 
-# --- direction 6: svc::SoakOptions fields <-> docs/SERVICE.md ------------
-SVC_DOC=docs/SERVICE.md
-SVC_HEADER=src/svc/soak_service.hpp
-if [[ ! -f "$SVC_DOC" || ! -f "$SVC_HEADER" ]]; then
-  echo "check_docs: missing $SVC_DOC or $SVC_HEADER" >&2
-  exit 1
-fi
-svc_code_knobs=$(extract_fields "$SVC_HEADER" 'struct SoakOptions \{' | sort -u)
-svc_doc_knobs=$(grep -oE '^\| `[a-z][a-z0-9_]*`' "$SVC_DOC" | sed -E 's/^\| `([a-z0-9_]*)`/\1/' | sort -u)
-if [[ -z "$svc_code_knobs" ]]; then
-  echo "check_docs: no SoakOptions fields found in $SVC_HEADER (format changed?)" >&2
-  exit 1
-fi
-for knob in $svc_code_knobs; do
-  if ! grep -qE "^\| \`$knob\`" "$SVC_DOC"; then
-    echo "check_docs: SoakOptions field '$knob' has no knob table row in $SVC_DOC" >&2
-    fail=1
+# --- directions 6 + 7: option-struct fields <-> their doc's knob table ---
+# Every field of the struct must have a knob table row (`| `field` | ...`)
+# in the doc, and every table-row knob there must be declared in the
+# header. Leaves the struct's field count in `knob_count`.
+check_struct_table() {  # header, struct-name, doc
+  local header=$1 struct=$2 doc=$3 code_knobs doc_knobs knob
+  if [[ ! -f "$doc" || ! -f "$header" ]]; then
+    echo "check_docs: missing $doc or $header" >&2
+    exit 1
   fi
-done
-for knob in $svc_doc_knobs; do
-  if ! grep -qE "^[[:space:]]+[A-Za-z_][A-Za-z0-9_:<>,* ]*[[:space:]][*&]?${knob}([[:space:]]*=|\{|;)" \
-       "$SVC_HEADER"; then
-    echo "check_docs: $SVC_DOC documents '$knob' but $SVC_HEADER does not declare it" >&2
-    fail=1
+  code_knobs=$(extract_fields "$header" "struct $struct \\{" | sort -u)
+  doc_knobs=$(grep -oE '^\| `[a-z][a-z0-9_]*`' "$doc" | sed -E 's/^\| `([a-z0-9_]*)`/\1/' | sort -u)
+  if [[ -z "$code_knobs" ]]; then
+    echo "check_docs: no $struct fields found in $header (format changed?)" >&2
+    exit 1
   fi
-done
+  for knob in $code_knobs; do
+    if ! grep -qE "^\| \`$knob\`" "$doc"; then
+      echo "check_docs: $struct field '$knob' has no knob table row in $doc" >&2
+      fail=1
+    fi
+  done
+  for knob in $doc_knobs; do
+    if ! grep -qE "^[[:space:]]+[A-Za-z_][A-Za-z0-9_:<>,* ]*[[:space:]][*&]?${knob}([[:space:]]*=|\{|;)" \
+         "$header"; then
+      echo "check_docs: $doc documents '$knob' but $header does not declare it" >&2
+      fail=1
+    fi
+  done
+  knob_count=$(echo "$code_knobs" | wc -l)
+}
 
-# --- direction 7: shard::ShardOptions fields <-> docs/SHARDING.md --------
-SHARD_DOC=docs/SHARDING.md
-SHARD_HEADER=src/shard/coordinator.hpp
-if [[ ! -f "$SHARD_DOC" || ! -f "$SHARD_HEADER" ]]; then
-  echo "check_docs: missing $SHARD_DOC or $SHARD_HEADER" >&2
-  exit 1
-fi
-shard_code_knobs=$(extract_fields "$SHARD_HEADER" 'struct ShardOptions \{' | sort -u)
-shard_doc_knobs=$(grep -oE '^\| `[a-z][a-z0-9_]*`' "$SHARD_DOC" | sed -E 's/^\| `([a-z0-9_]*)`/\1/' | sort -u)
-if [[ -z "$shard_code_knobs" ]]; then
-  echo "check_docs: no ShardOptions fields found in $SHARD_HEADER (format changed?)" >&2
-  exit 1
-fi
-for knob in $shard_code_knobs; do
-  if ! grep -qE "^\| \`$knob\`" "$SHARD_DOC"; then
-    echo "check_docs: ShardOptions field '$knob' has no knob table row in $SHARD_DOC" >&2
-    fail=1
-  fi
-done
-for knob in $shard_doc_knobs; do
-  if ! grep -qE "^[[:space:]]+[A-Za-z_][A-Za-z0-9_:<>,* ]*[[:space:]][*&]?${knob}([[:space:]]*=|\{|;)" \
-       "$SHARD_HEADER"; then
-    echo "check_docs: $SHARD_DOC documents '$knob' but $SHARD_HEADER does not declare it" >&2
-    fail=1
-  fi
-done
+check_struct_table src/svc/soak_service.hpp SoakOptions docs/SERVICE.md
+svc_knob_count=$knob_count
+check_struct_table src/shard/coordinator.hpp ShardOptions docs/SHARDING.md
+shard_knob_count=$knob_count
 
 if [[ "$fail" -ne 0 ]]; then
   echo "check_docs: FAILED — the docs and the code drifted" >&2
   exit 1
 fi
-echo "check_docs: OK ($(echo "$doc_knobs" | wc -l) documented knobs, $(echo "$code_knobs" | wc -l) public knobs, $(echo "$code_metrics" | wc -l) metrics, $(echo "$code_impls" | wc -l) implementation ids, $(echo "$svc_code_knobs" | wc -l) soak knobs, $(echo "$shard_code_knobs" | wc -l) shard knobs)"
+echo "check_docs: OK ($(echo "$doc_knobs" | wc -l) documented knobs, $(echo "$code_knobs" | wc -l) public knobs, $(echo "$code_metrics" | wc -l) metrics, $(echo "$code_impls" | wc -l) implementation ids, $svc_knob_count soak knobs, $shard_knob_count shard knobs)"

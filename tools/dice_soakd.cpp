@@ -10,9 +10,10 @@
 //   dice_soakd --example-config      # print a commented template and exit
 //
 // Config keys (all optional; defaults in parentheses):
-//   scenario             topology27 | internet9-hijack | ring6 | bad-gadget
-//                        — repeatable; each line adds one scenario
-//                        (topology27)
+//   scenario             a bench scenario (explore::bench_scenario):
+//                        topology27 | internet9-clean | internet9-hijack |
+//                        ring6 | bad-gadget — repeatable; each line adds
+//                        one scenario (topology27)
 //   strategies           comma list: grammar,random,grammar-strict,concolic
 //                        (grammar)
 //   seeds                comma list of u64 (1)
@@ -33,13 +34,12 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "bgp/bugs.hpp"
-#include "bgp/topology.hpp"
 #include "svc/soak_observer.hpp"
 #include "svc/soak_service.hpp"
 
@@ -140,23 +140,12 @@ struct Config {
 [[nodiscard]] bool make_scenarios(const Config& config,
                                   std::vector<explore::ScenarioSpec>& specs) {
   for (const std::string& name : config.scenario_names) {
-    if (name == "topology27") {
-      bgp::SystemBlueprint fig1 = bgp::make_internet();
-      bgp::inject_hijack(fig1, /*victim=*/12, /*attacker=*/20, /*more_specific=*/true);
-      bgp::inject_bug(fig1, 5, bgp::bugs::kCommunityLength);
-      specs.push_back({"topology27", std::move(fig1)});
-    } else if (name == "internet9-hijack") {
-      bgp::SystemBlueprint hijack = bgp::make_internet({2, 3, 4});
-      bgp::inject_hijack(hijack, /*victim=*/5, /*attacker=*/8);
-      specs.push_back({"internet9-hijack", std::move(hijack)});
-    } else if (name == "ring6") {
-      specs.push_back({"ring6", bgp::make_ring(6)});
-    } else if (name == "bad-gadget") {
-      specs.push_back({"bad-gadget", bgp::make_bad_gadget()});
-    } else {
+    std::optional<explore::ScenarioSpec> spec = explore::bench_scenario(name);
+    if (!spec) {
       std::fprintf(stderr, "dice_soakd: unknown scenario '%s'\n", name.c_str());
       return false;
     }
+    specs.push_back(std::move(*spec));
   }
   return true;
 }
