@@ -13,6 +13,7 @@
 #include "bench_util.hpp"
 #include "dice/orchestrator.hpp"
 #include "explore/campaign.hpp"
+#include "util/strings.hpp"
 
 int main() {
   using namespace dice;
@@ -66,7 +67,7 @@ int main() {
     reused_total += episode.clones_reused;
     restore_total_ms += episode.restore_ms;
     clone_total_ms += episode.clone_ms;
-    table.row({std::to_string(episode.episode), "r" + std::to_string(episode.explorer),
+    table.row({std::to_string(episode.episode), util::format("r%u", static_cast<unsigned>(episode.explorer)),
                std::to_string(episode.inputs_subjected), std::to_string(episode.clones_run),
                std::to_string(episode.clones_reused),
                fmt(static_cast<double>(episode.snapshot_bytes) / 1024.0, 1),

@@ -19,8 +19,8 @@ int main(int argc, char** argv) {
   const bool inject = argc > 1 && std::strcmp(argv[1], "hijack") == 0;
 
   // 1. Describe the system: three routers in a line, eBGP everywhere,
-  //    each originating one /16. Blueprints can also be parsed from
-  //    BIRD-flavored config text (bgp/config.hpp).
+  //    each originating one /16. Blueprints are built in code; each
+  //    router's RouterConfig (bgp/config.hpp) is plain data to edit.
   bgp::SystemBlueprint blueprint = bgp::make_line(3);
   if (inject) {
     // Operator mistake: r2 also originates r0's prefix.

@@ -1,14 +1,6 @@
 #include "bgp/config.hpp"
 
-#include <cctype>
-
-#include "util/strings.hpp"
-
 namespace dice::bgp {
-
-using util::make_error;
-using util::Result;
-using util::Status;
 
 const NeighborConfig* RouterConfig::neighbor_by_address(util::IpAddress addr) const {
   for (const NeighborConfig& n : neighbors) {
@@ -22,616 +14,6 @@ const NeighborConfig* RouterConfig::neighbor_by_asn(Asn neighbor_asn) const {
     if (n.asn == neighbor_asn) return &n;
   }
   return nullptr;
-}
-
-// ---------------------------------------------------------------------------
-// Lexer
-// ---------------------------------------------------------------------------
-
-namespace {
-
-enum class TokKind : std::uint8_t { kIdent, kNumber, kString, kPunct, kEnd };
-
-struct Token {
-  TokKind kind = TokKind::kEnd;
-  std::string text;
-  std::size_t line = 0;
-};
-
-class Lexer {
- public:
-  explicit Lexer(std::string_view text) : text_(text) {}
-
-  [[nodiscard]] Result<std::vector<Token>> tokenize() {
-    std::vector<Token> out;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (c == '\n') {
-        ++line_;
-        ++pos_;
-        continue;
-      }
-      if (c == ' ' || c == '\t' || c == '\r') {
-        ++pos_;
-        continue;
-      }
-      if (c == '#') {  // comment to end of line
-        while (pos_ < text_.size() && text_[pos_] != '\n') ++pos_;
-        continue;
-      }
-      if (std::isalpha(static_cast<unsigned char>(c)) != 0 || c == '_') {
-        out.push_back(lex_ident());
-        continue;
-      }
-      if (std::isdigit(static_cast<unsigned char>(c)) != 0) {
-        out.push_back(lex_number());
-        continue;
-      }
-      if (c == '"') {
-        auto tok = lex_string();
-        if (!tok) return tok.error();
-        out.push_back(std::move(tok).take());
-        continue;
-      }
-      if (std::string_view("{}();,~+").find(c) != std::string_view::npos) {
-        out.push_back(Token{TokKind::kPunct, std::string(1, c), line_});
-        ++pos_;
-        continue;
-      }
-      return make_error("config.lex.bad_char",
-                        util::format("'%c' at line %zu", c, line_));
-    }
-    out.push_back(Token{TokKind::kEnd, "", line_});
-    return out;
-  }
-
- private:
-  [[nodiscard]] Token lex_ident() {
-    const std::size_t start = pos_;
-    while (pos_ < text_.size() &&
-           (std::isalnum(static_cast<unsigned char>(text_[pos_])) != 0 || text_[pos_] == '_')) {
-      ++pos_;
-    }
-    return Token{TokKind::kIdent, std::string(text_.substr(start, pos_ - start)), line_};
-  }
-
-  /// Numbers, IPv4 addresses and prefixes all start with a digit; the lexer
-  /// consumes the full dotted/slashed form and the parser reinterprets it.
-  [[nodiscard]] Token lex_number() {
-    const std::size_t start = pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0 || text_[pos_] == '.' ||
-            text_[pos_] == '/')) {
-      ++pos_;
-    }
-    return Token{TokKind::kNumber, std::string(text_.substr(start, pos_ - start)), line_};
-  }
-
-  [[nodiscard]] Result<Token> lex_string() {
-    ++pos_;  // opening quote
-    const std::size_t start = pos_;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      if (text_[pos_] == '\n') ++line_;
-      ++pos_;
-    }
-    if (pos_ >= text_.size()) {
-      return make_error("config.lex.unterminated_string", util::format("line %zu", line_));
-    }
-    Token tok{TokKind::kString, std::string(text_.substr(start, pos_ - start)), line_};
-    ++pos_;  // closing quote
-    return tok;
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-  std::size_t line_ = 1;
-};
-
-// ---------------------------------------------------------------------------
-// Parser
-// ---------------------------------------------------------------------------
-
-class Parser {
- public:
-  explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
-
-  [[nodiscard]] Result<RouterConfig> parse() {
-    RouterConfig config;
-    if (auto s = expect_ident("router"); !s) return s.error();
-    if (auto s = expect_punct("{"); !s) return s.error();
-    while (!peek_punct("}")) {
-      auto s = parse_router_item(config);
-      if (!s) return s.error();
-    }
-    if (auto s = expect_punct("}"); !s) return s.error();
-    return config;
-  }
-
- private:
-  [[nodiscard]] const Token& peek() const { return tokens_[pos_]; }
-  [[nodiscard]] const Token& advance() { return tokens_[pos_++]; }
-  [[nodiscard]] bool peek_punct(std::string_view p) const {
-    return peek().kind == TokKind::kPunct && peek().text == p;
-  }
-  [[nodiscard]] bool peek_ident(std::string_view name) const {
-    return peek().kind == TokKind::kIdent && peek().text == name;
-  }
-
-  [[nodiscard]] Status expect_punct(std::string_view p) {
-    if (!peek_punct(p)) {
-      return make_error("config.parse.expected",
-                        util::format("'%s' at line %zu, got '%s'", std::string(p).c_str(),
-                                     peek().line, peek().text.c_str()));
-    }
-    ++pos_;
-    return Status::success();
-  }
-  [[nodiscard]] Status expect_ident(std::string_view name) {
-    if (!peek_ident(name)) {
-      return make_error("config.parse.expected",
-                        util::format("'%s' at line %zu, got '%s'", std::string(name).c_str(),
-                                     peek().line, peek().text.c_str()));
-    }
-    ++pos_;
-    return Status::success();
-  }
-
-  [[nodiscard]] Result<std::uint64_t> expect_number() {
-    if (peek().kind != TokKind::kNumber) {
-      return make_error("config.parse.expected_number",
-                        util::format("line %zu, got '%s'", peek().line, peek().text.c_str()));
-    }
-    auto value = util::parse_u64(advance().text);
-    if (!value) return value.error();
-    return value.value();
-  }
-
-  [[nodiscard]] Result<util::IpAddress> expect_address() {
-    if (peek().kind != TokKind::kNumber) {
-      return make_error("config.parse.expected_address", util::format("line %zu", peek().line));
-    }
-    return util::IpAddress::parse(advance().text);
-  }
-
-  [[nodiscard]] Result<util::IpPrefix> expect_prefix() {
-    if (peek().kind != TokKind::kNumber) {
-      return make_error("config.parse.expected_prefix", util::format("line %zu", peek().line));
-    }
-    return util::IpPrefix::parse(advance().text);
-  }
-
-  [[nodiscard]] Result<Community> expect_community() {
-    if (auto s = expect_punct("("); !s) return s.error();
-    auto asn = expect_number();
-    if (!asn) return asn.error();
-    if (auto s = expect_punct(","); !s) return s.error();
-    auto tag = expect_number();
-    if (!tag) return tag.error();
-    if (auto s = expect_punct(")"); !s) return s.error();
-    if (asn.value() > 0xffff || tag.value() > 0xffff) {
-      return make_error("config.parse.community_range");
-    }
-    return make_community(static_cast<std::uint16_t>(asn.value()),
-                          static_cast<std::uint16_t>(tag.value()));
-  }
-
-  [[nodiscard]] Status parse_router_item(RouterConfig& config) {
-    if (peek().kind != TokKind::kIdent) {
-      return make_error("config.parse.expected_item", util::format("line %zu", peek().line));
-    }
-    const std::string key = advance().text;
-    if (key == "name") {
-      if (peek().kind != TokKind::kIdent && peek().kind != TokKind::kString) {
-        return make_error("config.parse.expected_name");
-      }
-      config.name = advance().text;
-      return expect_punct(";");
-    }
-    if (key == "id") {
-      auto addr = expect_address();
-      if (!addr) return addr.error();
-      config.router_id = addr.value().value();
-      return expect_punct(";");
-    }
-    if (key == "as") {
-      auto asn = expect_number();
-      if (!asn) return asn.error();
-      config.asn = static_cast<Asn>(asn.value());
-      return expect_punct(";");
-    }
-    if (key == "address") {
-      auto addr = expect_address();
-      if (!addr) return addr.error();
-      config.address = addr.value();
-      return expect_punct(";");
-    }
-    if (key == "hold") {
-      auto hold = expect_number();
-      if (!hold) return hold.error();
-      config.hold_time = static_cast<std::uint16_t>(hold.value());
-      return expect_punct(";");
-    }
-    if (key == "med_always_compare") {
-      config.always_compare_med = true;
-      return expect_punct(";");
-    }
-    if (key == "bug_mask") {
-      auto mask = expect_number();
-      if (!mask) return mask.error();
-      config.bug_mask = static_cast<std::uint32_t>(mask.value());
-      return expect_punct(";");
-    }
-    if (key == "network") {
-      auto prefix = expect_prefix();
-      if (!prefix) return prefix.error();
-      config.networks.push_back(prefix.value());
-      return expect_punct(";");
-    }
-    if (key == "neighbor") {
-      return parse_neighbor(config);
-    }
-    return make_error("config.parse.unknown_item",
-                      util::format("'%s' at line %zu", key.c_str(), peek().line));
-  }
-
-  [[nodiscard]] Status parse_neighbor(RouterConfig& config) {
-    NeighborConfig n;
-    auto addr = expect_address();
-    if (!addr) return addr.error();
-    n.address = addr.value();
-    if (auto s = expect_punct("{"); !s) return s.error();
-    while (!peek_punct("}")) {
-      if (peek().kind != TokKind::kIdent) {
-        return make_error("config.parse.expected_item", util::format("line %zu", peek().line));
-      }
-      const std::string key = advance().text;
-      if (key == "as") {
-        auto asn = expect_number();
-        if (!asn) return asn.error();
-        n.asn = static_cast<Asn>(asn.value());
-        if (auto s = expect_punct(";"); !s) return s;
-      } else if (key == "description") {
-        if (peek().kind != TokKind::kString) {
-          return make_error("config.parse.expected_string", util::format("line %zu", peek().line));
-        }
-        n.description = advance().text;
-        if (auto s = expect_punct(";"); !s) return s;
-      } else if (key == "import") {
-        auto policy = parse_policy();
-        if (!policy) return policy.error();
-        n.import_policy = std::move(policy).take();
-      } else if (key == "export") {
-        auto policy = parse_policy();
-        if (!policy) return policy.error();
-        n.export_policy = std::move(policy).take();
-      } else {
-        return make_error("config.parse.unknown_neighbor_item", key);
-      }
-    }
-    if (auto s = expect_punct("}"); !s) return s.error();
-    config.neighbors.push_back(std::move(n));
-    return Status::success();
-  }
-
-  [[nodiscard]] Result<Policy> parse_policy() {
-    Policy policy;
-    policy.default_accept = false;
-    if (auto s = expect_punct("{"); !s) return s.error();
-    while (!peek_punct("}")) {
-      if (peek_ident("default")) {
-        ++pos_;
-        if (peek_ident("accept")) {
-          policy.default_accept = true;
-        } else if (peek_ident("reject")) {
-          policy.default_accept = false;
-        } else {
-          return make_error("config.parse.expected_default_verdict",
-                            util::format("line %zu", peek().line));
-        }
-        ++pos_;
-        if (auto s = expect_punct(";"); !s) return s.error();
-        continue;
-      }
-      auto rule = parse_rule();
-      if (!rule) return rule.error();
-      policy.rules.push_back(std::move(rule).take());
-    }
-    if (auto s = expect_punct("}"); !s) return s.error();
-    return policy;
-  }
-
-  /// rule := "if" cond {"and" cond} "then" body | "then" body
-  [[nodiscard]] Result<PolicyRule> parse_rule() {
-    PolicyRule rule;
-    if (peek_ident("if")) {
-      ++pos_;
-      while (true) {
-        auto match = parse_match();
-        if (!match) return match.error();
-        rule.matches.push_back(std::move(match).take());
-        if (peek_ident("and")) {
-          ++pos_;
-          continue;
-        }
-        break;
-      }
-    }
-    if (auto s = expect_ident("then"); !s) return s.error();
-    if (auto s = parse_action_body(rule); !s) return s.error();
-    return rule;
-  }
-
-  [[nodiscard]] Result<Match> parse_match() {
-    Match match;
-    if (peek_ident("any")) {
-      ++pos_;
-      match.kind = Match::Kind::kAny;
-      return match;
-    }
-    if (peek_ident("prefix")) {
-      ++pos_;
-      if (auto s = expect_ident("in"); !s) return s.error();
-      auto prefix = expect_prefix();
-      if (!prefix) return prefix.error();
-      match.prefix = prefix.value();
-      if (peek_punct("+")) {
-        ++pos_;
-        match.kind = Match::Kind::kPrefixOrLonger;
-      } else {
-        match.kind = Match::Kind::kPrefixExact;
-      }
-      return match;
-    }
-    if (peek_ident("aspath")) {
-      ++pos_;
-      if (auto s = expect_punct("~"); !s) return s.error();
-      auto asn = expect_number();
-      if (!asn) return asn.error();
-      match.kind = Match::Kind::kAsPathContains;
-      match.asn = static_cast<Asn>(asn.value());
-      return match;
-    }
-    if (peek_ident("originated")) {
-      ++pos_;
-      auto asn = expect_number();
-      if (!asn) return asn.error();
-      match.kind = Match::Kind::kOriginatedBy;
-      match.asn = static_cast<Asn>(asn.value());
-      return match;
-    }
-    if (peek_ident("community")) {
-      ++pos_;
-      auto community = expect_community();
-      if (!community) return community.error();
-      match.kind = Match::Kind::kCommunity;
-      match.community = community.value();
-      return match;
-    }
-    if (peek_ident("nexthop")) {
-      ++pos_;
-      auto addr = expect_address();
-      if (!addr) return addr.error();
-      match.kind = Match::Kind::kNextHop;
-      match.address = addr.value();
-      return match;
-    }
-    return make_error("config.parse.unknown_match",
-                      util::format("'%s' at line %zu", peek().text.c_str(), peek().line));
-  }
-
-  [[nodiscard]] Status parse_action_body(PolicyRule& rule) {
-    if (peek_punct("{")) {
-      ++pos_;
-      while (!peek_punct("}")) {
-        if (auto s = parse_action(rule); !s) return s;
-      }
-      return expect_punct("}");
-    }
-    return parse_action(rule);
-  }
-
-  [[nodiscard]] Status parse_action(PolicyRule& rule) {
-    if (peek().kind != TokKind::kIdent) {
-      return make_error("config.parse.expected_action", util::format("line %zu", peek().line));
-    }
-    const std::string key = advance().text;
-    if (key == "accept") {
-      rule.verdict = Verdict::kAccept;
-      return expect_punct(";");
-    }
-    if (key == "reject") {
-      rule.verdict = Verdict::kReject;
-      return expect_punct(";");
-    }
-    if (key == "localpref") {
-      auto value = expect_number();
-      if (!value) return value.error();
-      rule.actions.push_back(Action{Action::Kind::kSetLocalPref,
-                                    static_cast<std::uint32_t>(value.value())});
-      return expect_punct(";");
-    }
-    if (key == "med") {
-      if (peek_ident("clear")) {
-        ++pos_;
-        rule.actions.push_back(Action{Action::Kind::kClearMed, 0});
-        return expect_punct(";");
-      }
-      auto value = expect_number();
-      if (!value) return value.error();
-      rule.actions.push_back(
-          Action{Action::Kind::kSetMed, static_cast<std::uint32_t>(value.value())});
-      return expect_punct(";");
-    }
-    if (key == "prepend") {
-      auto value = expect_number();
-      if (!value) return value.error();
-      rule.actions.push_back(
-          Action{Action::Kind::kPrepend, static_cast<std::uint32_t>(value.value())});
-      return expect_punct(";");
-    }
-    if (key == "community") {
-      bool add = true;
-      if (peek_ident("add")) {
-        ++pos_;
-      } else if (peek_ident("remove")) {
-        ++pos_;
-        add = false;
-      } else {
-        return make_error("config.parse.expected_add_remove",
-                          util::format("line %zu", peek().line));
-      }
-      auto community = expect_community();
-      if (!community) return community.error();
-      rule.actions.push_back(Action{
-          add ? Action::Kind::kAddCommunity : Action::Kind::kRemoveCommunity,
-          community.value()});
-      return expect_punct(";");
-    }
-    return make_error("config.parse.unknown_action", key);
-  }
-
-  std::vector<Token> tokens_;
-  std::size_t pos_ = 0;
-};
-
-// ---------------------------------------------------------------------------
-// Renderer
-// ---------------------------------------------------------------------------
-
-void render_match(std::string& out, const Match& match) {
-  switch (match.kind) {
-    case Match::Kind::kAny: out.append("any"); break;
-    case Match::Kind::kPrefixExact:
-      out.append("prefix in ").append(match.prefix.to_string());
-      break;
-    case Match::Kind::kPrefixOrLonger:
-      out.append("prefix in ").append(match.prefix.to_string()).append("+");
-      break;
-    case Match::Kind::kAsPathContains:
-      out.append(util::format("aspath ~ %u", match.asn));
-      break;
-    case Match::Kind::kOriginatedBy:
-      out.append(util::format("originated %u", match.asn));
-      break;
-    case Match::Kind::kCommunity:
-      out.append("community ").append(community_to_string(match.community));
-      break;
-    case Match::Kind::kNextHop:
-      out.append("nexthop ").append(match.address.to_string());
-      break;
-  }
-}
-
-void render_action(std::string& out, const Action& action) {
-  switch (action.kind) {
-    case Action::Kind::kSetLocalPref:
-      out.append(util::format("localpref %u;", action.value));
-      break;
-    case Action::Kind::kSetMed:
-      out.append(util::format("med %u;", action.value));
-      break;
-    case Action::Kind::kClearMed:
-      out.append("med clear;");
-      break;
-    case Action::Kind::kAddCommunity:
-      out.append("community add ").append(community_to_string(action.value)).append(";");
-      break;
-    case Action::Kind::kRemoveCommunity:
-      out.append("community remove ").append(community_to_string(action.value)).append(";");
-      break;
-    case Action::Kind::kPrepend:
-      out.append(util::format("prepend %u;", action.value));
-      break;
-  }
-}
-
-void render_policy(std::string& out, const Policy& policy, const char* keyword,
-                   const std::string& indent) {
-  out.append(indent).append(keyword).append(" {\n");
-  out.append(indent).append("  default ").append(
-      policy.default_accept ? "accept;\n" : "reject;\n");
-  for (const PolicyRule& rule : policy.rules) {
-    out.append(indent).append("  ");
-    if (!rule.matches.empty()) {
-      out.append("if ");
-      for (std::size_t i = 0; i < rule.matches.size(); ++i) {
-        if (i != 0) out.append(" and ");
-        render_match(out, rule.matches[i]);
-      }
-      out.push_back(' ');
-    }
-    out.append("then { ");
-    for (const Action& action : rule.actions) {
-      render_action(out, action);
-      out.push_back(' ');
-    }
-    switch (rule.verdict) {
-      case Verdict::kAccept: out.append("accept; "); break;
-      case Verdict::kReject: out.append("reject; "); break;
-      case Verdict::kNext: break;
-    }
-    out.append("}\n");
-  }
-  out.append(indent).append("}\n");
-}
-
-}  // namespace
-
-Result<RouterConfig> parse_config(std::string_view text) {
-  Lexer lexer(text);
-  auto tokens = lexer.tokenize();
-  if (!tokens) return tokens.error();
-  Parser parser(std::move(tokens).take());
-  return parser.parse();
-}
-
-std::string render_config(const RouterConfig& config) {
-  std::string out = "router {\n";
-  if (!config.name.empty()) out.append("  name ").append(config.name).append(";\n");
-  out.append("  id ").append(router_id_to_string(config.router_id)).append(";\n");
-  out.append(util::format("  as %u;\n", config.asn));
-  out.append("  address ").append(config.address.to_string()).append(";\n");
-  out.append(util::format("  hold %u;\n", config.hold_time));
-  if (config.always_compare_med) out.append("  med_always_compare;\n");
-  if (config.bug_mask != 0) out.append(util::format("  bug_mask %u;\n", config.bug_mask));
-  for (const util::IpPrefix& p : config.networks) {
-    out.append("  network ").append(p.to_string()).append(";\n");
-  }
-  for (const NeighborConfig& n : config.neighbors) {
-    out.append("  neighbor ").append(n.address.to_string()).append(" {\n");
-    out.append(util::format("    as %u;\n", n.asn));
-    if (!n.description.empty()) {
-      out.append("    description \"").append(n.description).append("\";\n");
-    }
-    render_policy(out, n.import_policy, "import", "    ");
-    render_policy(out, n.export_policy, "export", "    ");
-    out.append("  }\n");
-  }
-  out.append("}\n");
-  return out;
-}
-
-Status validate_config(const RouterConfig& config) {
-  if (config.asn == 0) return make_error("config.validate.zero_asn");
-  if (config.router_id == 0) return make_error("config.validate.zero_router_id");
-  for (std::size_t i = 0; i < config.neighbors.size(); ++i) {
-    const NeighborConfig& n = config.neighbors[i];
-    if (n.asn == 0) {
-      return make_error("config.validate.neighbor_zero_asn", n.address.to_string());
-    }
-    for (std::size_t j = i + 1; j < config.neighbors.size(); ++j) {
-      if (config.neighbors[j].address == n.address) {
-        return make_error("config.validate.duplicate_neighbor", n.address.to_string());
-      }
-    }
-  }
-  for (const util::IpPrefix& p : config.networks) {
-    const util::IpPrefix normalized{p.address(), p.length()};
-    if (normalized != p) {
-      return make_error("config.validate.host_bits", p.to_string());
-    }
-  }
-  return Status::success();
 }
 
 }  // namespace dice::bgp

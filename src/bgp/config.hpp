@@ -1,31 +1,9 @@
-// Router configuration: the model consumed by BgpRouter, plus a parser and
-// renderer for a BIRD-flavored text format. Operator mistakes — the paper's
-// third fault class — enter the system here (e.g. an extra `network`
-// statement originating someone else's prefix, or a botched filter).
-//
-// Example:
-//
-//   router {
-//     name r1;
-//     id 10.0.0.1;
-//     as 65001;
-//     address 10.0.0.1;
-//     hold 90;
-//     network 10.1.0.0/16;
-//     neighbor 10.0.0.2 {
-//       as 65002;
-//       description "transit provider";
-//       import {
-//         if prefix in 192.168.0.0/16+ then reject;
-//         if community (65001,666) then reject;
-//         then { localpref 120; accept; }
-//       }
-//       export {
-//         if community (65001,100) then accept;
-//         then reject;
-//       }
-//     }
-//   }
+// Router configuration: the model consumed by BgpRouter. Operator
+// mistakes — the paper's third fault class — enter the system here (e.g.
+// an extra `network` statement originating someone else's prefix, or a
+// botched filter). Configs are built in code: the topology builders
+// (bgp/topology.hpp) assemble every RouterConfig a blueprint carries, and
+// fault injectors such as inject_hijack edit them in place.
 #pragma once
 
 #include <cstdint>
@@ -35,7 +13,6 @@
 #include "bgp/policy.hpp"
 #include "bgp/types.hpp"
 #include "util/ip.hpp"
-#include "util/result.hpp"
 
 namespace dice::bgp {
 
@@ -71,17 +48,5 @@ struct RouterConfig {
 
   bool operator==(const RouterConfig&) const = default;
 };
-
-/// Parses one `router { ... }` block.
-[[nodiscard]] util::Result<RouterConfig> parse_config(std::string_view text);
-
-/// Renders a config back to the text format (parse ∘ render == identity,
-/// covered by a round-trip property test).
-[[nodiscard]] std::string render_config(const RouterConfig& config);
-
-/// Structural sanity checks an operator tool would run before deploying:
-/// nonzero ASN/router id, neighbor ASNs distinct from invalid, no duplicate
-/// neighbor addresses, prefixes with zeroed host bits.
-[[nodiscard]] util::Status validate_config(const RouterConfig& config);
 
 }  // namespace dice::bgp

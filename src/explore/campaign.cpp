@@ -62,17 +62,8 @@ util::Status CampaignOptions::validate() const {
     return util::make_error("campaign.options.zero_clone_budget",
                             "clone_event_budget must be >= 1");
   }
-  if (parallelism.workers == 0 && parallelism.pool == nullptr) {
-    return util::make_error("campaign.options.zero_workers",
-                            "workers must be >= 1 (or supply an external pool)");
-  }
-  if (caching.live_cache_max_entries == 0) {
-    return util::make_error("campaign.options.zero_cache_bound",
-                            "live_cache_max_entries must be >= 1");
-  }
-  if (telemetry.progress_every_cells == 0) {
-    return util::make_error("campaign.options.zero_progress_cadence",
-                            "progress_every_cells must be >= 1");
+  if (parallelism.workers == 0) {
+    return util::make_error("campaign.options.zero_workers", "workers must be >= 1");
   }
   if (deadline.has_value() && *deadline <= StopToken::Clock::now()) {
     return util::make_error("campaign.options.deadline_in_past",
@@ -111,20 +102,14 @@ MatrixOptions CampaignOptions::to_matrix_options() const {
   matrix.unsat_seed = caching.unsat_seed;
   matrix.strategy_seed = determinism.strategy_seed;
   matrix.nested_parallelism = parallelism.nested;
-  matrix.progress_every_cells = telemetry.progress_every_cells;
   return matrix;
 }
 
 Campaign::Campaign(std::vector<ScenarioSpec> scenarios, CampaignOptions options)
     : options_(std::move(options)),
-      owned_live_cache_(options_.caching.live_cache_max_entries),
       live_cache_(options_.caching.live_cache != nullptr ? options_.caching.live_cache
                                                          : &owned_live_cache_),
-      owned_pool_(options_.parallelism.pool != nullptr
-                      ? nullptr
-                      : std::make_unique<ExplorePool>(options_.parallelism.workers)),
-      pool_(options_.parallelism.pool != nullptr ? options_.parallelism.pool
-                                                 : owned_pool_.get()),
+      pool_(options_.parallelism.workers),
       matrix_(std::move(scenarios), lower(options_, live_cache_)) {}
 
 CampaignResult Campaign::run(CampaignObserver* observer, StopToken stop) {
@@ -142,7 +127,7 @@ CampaignResult Campaign::run(CampaignObserver* observer, StopToken stop) {
   const auto start = Clock::now();
   CampaignResult result;
   static_cast<MatrixResult&>(result) =
-      matrix_.run(*pool_, RunControl{observer, token, options_.telemetry.trace,
+      matrix_.run(pool_, RunControl{observer, token, options_.telemetry.trace,
                                      options_.telemetry.wall_observer});
   result.wall_ms =
       std::chrono::duration<double, std::milli>(Clock::now() - start).count();

@@ -31,7 +31,6 @@
 #pragma once
 
 #include <chrono>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -58,12 +57,9 @@ struct CampaignOptions {
   struct Caching {
     bool live_state_cache = true;
     /// External bootstrap cache shared across campaigns; nullptr = the
-    /// campaign owns one for its lifetime (repeat run() soaks still hit).
+    /// campaign owns one for its lifetime (repeat run() soaks still hit),
+    /// bounded at LiveStateCache::kDefaultMaxEntries.
     LiveStateCache* live_cache = nullptr;
-    /// LRU bound for the campaign-OWNED cache. An external `live_cache`
-    /// keeps the bound it was constructed with; this knob does not rebind
-    /// it.
-    std::size_t live_cache_max_entries = LiveStateCache::kDefaultMaxEntries;
     /// Proven-UNSAT solver keys pre-seeded into every solver cache each
     /// run() creates (MatrixOptions::unsat_seed) — the svc::ArtifactStore
     /// warm-start path. Sound and byte-stable: a seeded hit skips solving
@@ -78,10 +74,7 @@ struct CampaignOptions {
   /// clone batches — draw from, so there is no way to oversubscribe by
   /// sizing two layers independently.
   struct Parallelism {
-    std::size_t workers = 1;      ///< global worker budget (cells + clones)
-    /// External pool shared across campaigns (arena reuse); overrides
-    /// `workers`. nullptr = the campaign owns a pool for its lifetime.
-    ExplorePool* pool = nullptr;
+    std::size_t workers = 1;  ///< global worker budget (cells + clones)
     /// Nested parallelism (default on): cells submit clone batches back
     /// into the shared pool as child tasks, so a 1-cell campaign still
     /// fills all `workers` workers (idle workers steal a parked cell's
@@ -100,10 +93,6 @@ struct CampaignOptions {
     /// timing). Campaign::run clears it at start — one run, one trace —
     /// and finalizes it before returning; nullptr = no span capture.
     obs::Trace* trace = nullptr;
-    /// Progress cadence: CampaignObserver::on_progress fires once every N
-    /// flushed cells (and always for the final cell). Rejected at 0 by
-    /// validate().
-    std::size_t progress_every_cells = 1;
     /// Liveness-first second observer stream (RunControl::wall_observer;
     /// svc::SoakObserver): the same start -> fault* -> done burst per cell,
     /// delivered the moment each cell finishes, in WALL-CLOCK completion
@@ -219,11 +208,6 @@ class CampaignOptions::Builder {
     options_.telemetry.trace = value;
     return *this;
   }
-  /// Convenience: progress cadence only.
-  Builder& progress_every_cells(std::size_t value) {
-    options_.telemetry.progress_every_cells = value;
-    return *this;
-  }
   /// Convenience: fixed strategy seed only (receipt campaigns).
   Builder& strategy_seed(std::uint64_t value) {
     options_.determinism.strategy_seed = value;
@@ -280,8 +264,9 @@ class Campaign {
  public:
   /// `options` should come from CampaignOptions::builder() (validated);
   /// hand-rolled options are taken as given. The campaign owns its pool,
-  /// bootstrap cache and per-scenario prototypes for its lifetime, so
-  /// repeat run() calls (soaks) reuse arenas and cached bootstraps.
+  /// per-scenario prototypes and (unless an external one is supplied) its
+  /// bootstrap cache for its lifetime, so repeat run() calls (soaks) reuse
+  /// arenas and cached bootstraps.
   Campaign(std::vector<ScenarioSpec> scenarios, CampaignOptions options);
 
   /// Runs every cell, streaming events to `observer` (may be null) in
@@ -296,7 +281,6 @@ class Campaign {
   /// The bootstrap cache this campaign consults (owned unless an external
   /// one was supplied) — soak loops may clear() it between runs.
   [[nodiscard]] LiveStateCache& live_cache() noexcept { return *live_cache_; }
-  [[nodiscard]] ExplorePool& pool() noexcept { return *pool_; }
   /// The matrix underneath — svc::SoakService maps its prototypes back to
   /// stable (scenario, implementation) names when persisting warm state.
   [[nodiscard]] const ScenarioMatrix& matrix() const noexcept { return matrix_; }
@@ -305,8 +289,7 @@ class Campaign {
   CampaignOptions options_;
   LiveStateCache owned_live_cache_;
   LiveStateCache* live_cache_ = nullptr;  ///< external or &owned_live_cache_
-  std::unique_ptr<ExplorePool> owned_pool_;  ///< null when external
-  ExplorePool* pool_ = nullptr;
+  ExplorePool pool_;
   ScenarioMatrix matrix_;
 };
 

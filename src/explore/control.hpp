@@ -94,18 +94,11 @@ struct CellDescriptor {
   std::string_view implementation;
 };
 
-/// Cumulative run progress, emitted after each flushed cell.
-struct CampaignProgress {
-  std::size_t cells_done = 0;   ///< cells flushed so far (canonical prefix)
-  std::size_t cells_total = 0;
-  std::size_t faults = 0;       ///< faults streamed so far (completed cells)
-  bool stop_requested = false;  ///< the token had fired when this was emitted
-};
-
 struct CellResult;  // explore/matrix.hpp
 
 /// Event sink for streaming campaign results. Default no-op implementations
-/// let observers override only what they need.
+/// let observers override only what they need. Run-level counts (cells
+/// done, faults so far) are folds over on_cell_done and on_fault.
 class CampaignObserver {
  public:
   virtual ~CampaignObserver() = default;
@@ -123,7 +116,6 @@ class CampaignObserver {
     (void)cell;
     (void)result;
   }
-  virtual void on_progress(const CampaignProgress& progress) { (void)progress; }
 };
 
 }  // namespace dice::explore

@@ -226,8 +226,6 @@ MatrixResult ScenarioMatrix::run(ExplorePool& pool, const RunControl& control) {
   CellMerger::Options merge_options;
   merge_options.observer = control.observer;
   merge_options.trace = control.trace;
-  merge_options.progress_every_cells = options_.progress_every_cells;
-  merge_options.stop = control.stop;
   CellMerger merger(&result.cells, merge_options);
 
   // Second, liveness-first stream: cells that ran emit their start ->

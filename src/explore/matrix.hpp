@@ -105,11 +105,6 @@ struct MatrixOptions {
   /// svc round receipt); on a multi-cell matrix it makes same-strategy
   /// cells draw identical input streams. nullopt = the derived streams.
   std::optional<std::uint64_t> strategy_seed = std::nullopt;
-  /// Progress cadence: emit CampaignObserver::on_progress once every N
-  /// flushed cells (and always for the final cell). 1 = after every cell;
-  /// 0 is treated as 1. Coarser cadences keep slow observers off the cell
-  /// completion path of big matrices.
-  std::size_t progress_every_cells = 1;
   /// Shard-worker plumbing (docs/SHARDING.md), not a tuning knob: when set,
   /// only the listed canonical cell indices EXECUTE; every other cell is
   /// flushed as skipped (started=false, no faults). Cell identity, per-cell

@@ -8,7 +8,6 @@ namespace dice::explore {
 CellMerger::CellMerger(std::vector<CellResult>* cells, Options options)
     : cells_(cells), options_(options) {
   assert(cells_ != nullptr);
-  if (options_.progress_every_cells == 0) options_.progress_every_cells = 1;
   done_.assign(cells_->size(), 0);
   if (options_.observer != nullptr) stash_.resize(cells_->size());
 }
@@ -70,13 +69,6 @@ void CellMerger::flush_locked() {
       options_.observer->on_fault(desc, fault);
     }
     options_.observer->on_cell_done(desc, (*cells_)[i]);
-    streamed_faults_ += stash_[i].size();
-    // Cadenced progress: every Nth flushed cell, plus always the last —
-    // a coarser cadence must still report the final counts.
-    if (next_ % options_.progress_every_cells == 0 || next_ == done_.size()) {
-      options_.observer->on_progress(CampaignProgress{
-          next_, done_.size(), streamed_faults_, options_.stop.stop_requested()});
-    }
     // Streamed = done with the copy: release it now rather than holding
     // every cell's duplicate fault list until the whole run returns.
     std::vector<core::FaultReport>().swap(stash_[i]);

@@ -5,7 +5,7 @@
 // Before this component the reorder buffer lived as a local struct inside
 // ScenarioMatrix::run. Cross-process sharding (shard::ShardCoordinator)
 // needs the IDENTICAL merge — same flush order, same ledger priorities,
-// same per-cell salting, same progress cadence — or the byte-identical
+// same per-cell salting — or the byte-identical
 // fault-set guarantee dies at the process boundary. Extracting it means
 // there is exactly one implementation of the invariant instead of two
 // copies that can drift:
@@ -13,8 +13,7 @@
 //  * cells land in ANY order (wall-clock completion in the matrix, frame
 //    arrival order under sharding); the observer stream is flushed in
 //    CANONICAL cell order — a landed cell is held until every earlier cell
-//    has landed, then flushed start -> fault* -> done (+ cadenced
-//    progress);
+//    has landed, then flushed start -> fault* -> done;
 //  * a completed cell's faults are recorded with priority
 //    `index << 32 + encounter order` and key salt `index + 1` — the serial
 //    order a single-process, single-worker run would produce — so
@@ -46,11 +45,6 @@ class CellMerger {
     /// Span sink notified of every flush (Trace::cell_flushed) so the
     /// trace's canonical section mirrors the observer stream. May be null.
     obs::Trace* trace = nullptr;
-    /// on_progress once every N flushed cells, and always for the final
-    /// cell. 0 is treated as 1.
-    std::size_t progress_every_cells = 1;
-    /// Polled at each progress event for CampaignProgress::stop_requested.
-    StopToken stop{};
   };
 
   /// `cells` is the canonical result array (one slot per cell, identity
@@ -101,7 +95,6 @@ class CellMerger {
   /// released as soon as the cell streams.
   std::vector<std::vector<core::FaultReport>> stash_;
   std::size_t next_ = 0;
-  std::size_t streamed_faults_ = 0;
 };
 
 }  // namespace dice::explore

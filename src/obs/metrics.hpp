@@ -213,8 +213,7 @@ struct MetricsSnapshot {
   std::vector<GaugeValue> gauges;          ///< name-sorted
   std::vector<HistogramValue> histograms;  ///< name-sorted
 
-  /// The counter's value, 0 when absent — the convenience the
-  /// ProgressReporter rate math is written against.
+  /// The counter's value, 0 when absent.
   [[nodiscard]] std::uint64_t counter_value(std::string_view name) const noexcept;
 
   /// This snapshot minus `earlier`: counters and histogram buckets

@@ -74,7 +74,6 @@ inline constexpr std::string_view kDifferentialDivergence =
 // --- svc::SoakService / svc::ArtifactStore ----------------------------------
 inline constexpr std::string_view kSvcRounds = "dice_svc_rounds_total";
 inline constexpr std::string_view kSvcWarmStarts = "dice_svc_warm_starts_total";
-inline constexpr std::string_view kSvcKnobSwaps = "dice_svc_knob_swaps_total";
 
 // --- obs itself -------------------------------------------------------------
 inline constexpr std::string_view kTraceDropped = "dice_trace_events_dropped_total";

@@ -127,7 +127,6 @@ util::Result<ShardRunResult> ShardCoordinator::run(explore::CampaignObserver* ob
 
   explore::CellMerger::Options merge_options;
   merge_options.observer = observer;
-  merge_options.progress_every_cells = campaign_.telemetry.progress_every_cells;
   explore::CellMerger merger(&out.matrix.cells, merge_options);
 
   // The deal: cell i -> shard i % processes. Deterministic, and it spreads

@@ -24,15 +24,14 @@ void fields(Io& io, util::IoRef<Io, explore::CampaignOptions> options) {
   auto& [strategies, budgets, caching, parallelism, telemetry, determinism, deadline] = options;
   auto& [episodes_per_cell, inputs_per_episode, bootstrap_events, clone_event_budget] =
       budgets;
-  auto& [live_state_cache, live_cache, live_cache_max_entries, unsat_seed] = caching;
-  auto& [workers, pool, nested] = parallelism;
-  auto& [trace, progress_every_cells, wall_observer] = telemetry;
+  auto& [live_state_cache, live_cache, unsat_seed] = caching;
+  auto& [workers, nested] = parallelism;
+  auto& [trace, wall_observer] = telemetry;
   auto& [seeds, implementations, strategy_seed, oscillation_threshold, bootstrap_early_exit] =
       determinism;
-  // Process-local, never shipped: each process owns its bootstrap cache and
-  // its bound, its UNSAT seed, its pool, telemetry and deadline.
-  static_cast<void>(std::tie(live_cache, live_cache_max_entries, unsat_seed, pool, trace,
-                             progress_every_cells, wall_observer, deadline));
+  // Process-local, never shipped: each process owns its bootstrap cache,
+  // its UNSAT seed, telemetry and deadline.
+  static_cast<void>(std::tie(live_cache, unsat_seed, trace, wall_observer, deadline));
 
   io.seq(strategies, [&](auto& kind) { io.enumeration(kind, explore::StrategyKind::kRandom); });
   io.seq(seeds, [&](auto& seed) { io.u64(seed); });

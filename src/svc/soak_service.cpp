@@ -24,14 +24,12 @@ const util::Logger& logger() {
 struct SvcMetrics {
   obs::Counter& rounds;
   obs::Counter& warm_starts;
-  obs::Counter& knob_swaps;
 };
 
 [[nodiscard]] SvcMetrics& svc_metrics() {
   static SvcMetrics metrics{
       obs::MetricsRegistry::global().counter(obs::names::kSvcRounds),
-      obs::MetricsRegistry::global().counter(obs::names::kSvcWarmStarts),
-      obs::MetricsRegistry::global().counter(obs::names::kSvcKnobSwaps)};
+      obs::MetricsRegistry::global().counter(obs::names::kSvcWarmStarts)};
   return metrics;
 }
 
@@ -102,8 +100,9 @@ struct FoldObserver final : explore::CampaignObserver {
   return util::Status::success();
 }
 
-/// Cross-product prototype index for a stored key under the CURRENT
-/// campaign, or kNoPrototype when the options no longer produce it.
+/// Cross-product prototype index for a stored key under the campaign, or
+/// kNoPrototype when its options do not produce that key (a store written
+/// under other options).
 [[nodiscard]] std::size_t prototype_index(const explore::ScenarioMatrix& matrix,
                                           const WarmKey& key) {
   const std::vector<explore::ScenarioSpec>& specs = matrix.scenarios();
@@ -115,6 +114,16 @@ struct FoldObserver final : explore::CampaignObserver {
     }
   }
   return kNoPrototype;
+}
+
+/// `options` with the warm-continuity wiring: the campaign reads and feeds
+/// the service-owned bootstrap cache and UNSAT memo.
+[[nodiscard]] explore::CampaignOptions wire_caches(explore::CampaignOptions options,
+                                                   explore::LiveStateCache* cache,
+                                                   const std::vector<std::uint64_t>* unsat) {
+  options.caching.live_cache = cache;
+  options.caching.unsat_seed = unsat;
+  return options;
 }
 
 }  // namespace
@@ -142,7 +151,6 @@ util::Status SoakOptions::validate() const {
 std::string SoakReport::to_json() const {
   std::string out = "{";
   out += "\"rounds\":" + std::to_string(rounds);
-  out += ",\"knob_swaps\":" + std::to_string(knob_swaps);
   out += ",\"warm_starts\":" + std::to_string(warm_starts);
   out += ",\"primed_from_store\":" + std::to_string(primed_from_store);
   out += std::string(",\"warm_started\":") + (warm_started ? "true" : "false");
@@ -182,11 +190,9 @@ std::string SoakReport::to_json() const {
 
 SoakService::SoakService(std::vector<explore::ScenarioSpec> scenarios,
                          SoakOptions options)
-    : scenarios_(std::move(scenarios)),
-      options_(std::move(options)),
-      cache_(options_.campaign.caching.live_cache_max_entries) {
+    : options_(std::move(options)),
+      campaign_(std::move(scenarios), wire_caches(options_.campaign, &cache_, &unsat_)) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  build_campaign_locked(options_.campaign);
   if (options_.store_path.empty() || !options_.warm_start) return;
   auto loaded = ArtifactStore(options_.store_path).load();
   if (loaded.ok()) {
@@ -211,17 +217,8 @@ SoakService::~SoakService() {
   if (loop_thread_.joinable()) loop_thread_.join();
 }
 
-void SoakService::build_campaign_locked(const explore::CampaignOptions& options) {
-  explore::CampaignOptions wired = options;
-  // The warm-continuity machinery: every campaign generation reads and
-  // feeds the SAME service-owned cache and UNSAT memo.
-  wired.caching.live_cache = &cache_;
-  wired.caching.unsat_seed = &unsat_;
-  campaign_ = std::make_unique<explore::Campaign>(scenarios_, std::move(wired));
-}
-
 std::size_t SoakService::prime_cache_locked() {
-  const explore::ScenarioMatrix& matrix = campaign_->matrix();
+  const explore::ScenarioMatrix& matrix = campaign_.matrix();
   const auto& prototypes = matrix.prototypes();
   std::size_t primed = 0;
   // The entry carries just the persisted cut: no decode at boot. The first
@@ -266,7 +263,7 @@ void SoakService::harvest_locked(const explore::MatrixResult& result) {
 
   // Live states: every resolved cache entry that still carries its raw cut
   // replaces (or joins) the stored artifact under its stable name key.
-  const explore::ScenarioMatrix& matrix = campaign_->matrix();
+  const explore::ScenarioMatrix& matrix = campaign_.matrix();
   const std::vector<explore::ScenarioSpec>& specs = matrix.scenarios();
   const std::vector<std::string>& impls = matrix.options().implementations;
   const auto& prototypes = matrix.prototypes();
@@ -281,7 +278,9 @@ void SoakService::harvest_locked(const explore::MatrixResult& result) {
         break;
       }
     }
-    if (found == kNoPrototype) continue;  // entry from a pre-swap generation
+    // Only this campaign's prototypes ever key the cache (its runs and
+    // prime_cache_locked), so every entry maps back to one.
+    assert(found != kNoPrototype);
     LiveStateArtifact artifact;
     artifact.key = WarmKey{specs[found / impls.size()].name,
                            impls[found % impls.size()], entry.key.seed,
@@ -303,36 +302,17 @@ void SoakService::harvest_locked(const explore::MatrixResult& result) {
   }
 }
 
-void SoakService::apply_pending_swap_locked() {
-  if (!pending_.has_value()) return;
-  options_.campaign = std::move(*pending_);
-  pending_.reset();
-  // The old campaign's prototypes die with it, so its cache entries can
-  // never be hit again: drop them and re-prime from the in-memory contents
-  // against the NEW prototypes. Warm state carries across the swap for
-  // every key the new options still produce.
-  cache_.clear();
-  build_campaign_locked(options_.campaign);
-  const std::size_t reprimed = prime_cache_locked();
-  ++report_.knob_swaps;
-  svc_metrics().knob_swaps.add(1);
-  logger().info() << "knob swap applied at round " << report_.rounds
-                  << " (re-primed " << reprimed << " live state(s))";
-}
-
 RoundSummary SoakService::run_round() {
   std::uint64_t round = 0;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    apply_pending_swap_locked();
     round = report_.rounds;
   }
 
-  // The round itself runs unlocked: swap_options()/report() stay reachable
-  // while cells execute. The thread model (one driver) guarantees nobody
-  // rebuilds campaign_ underneath us.
+  // The round itself runs unlocked: report() stays reachable while cells
+  // execute. The thread model (one driver) keeps rounds from overlapping.
   FoldObserver fold;
-  const explore::CampaignResult result = campaign_->run(&fold, stop_.token());
+  const explore::CampaignResult result = campaign_.run(&fold, stop_.token());
 
   RoundSummary summary;
   summary.round = round;
@@ -451,13 +431,6 @@ void SoakService::request_stop() noexcept { stop_.request_stop(); }
 
 bool SoakService::running() const noexcept {
   return running_.load(std::memory_order_acquire);
-}
-
-util::Status SoakService::swap_options(explore::CampaignOptions next) {
-  if (util::Status status = next.validate(); !status.ok()) return status;
-  const std::lock_guard<std::mutex> lock(mutex_);
-  pending_ = std::move(next);  // last queued swap wins
-  return util::Status::success();
 }
 
 SoakReport SoakService::report() const {

@@ -15,10 +15,6 @@
 //    PreparedLiveStates and the proven-UNSAT solver memo survive the
 //    process, so a killed-and-restarted daemon resumes bootstraps in
 //    microseconds instead of replaying them;
-//  * live knobs: swap_options() validates a whole CampaignOptions and
-//    applies it exactly at the next round boundary — a rejected swap keeps
-//    the old options and returns the typed "campaign.options.*" error, and
-//    the running round is never perturbed;
 //  * a control surface: periodic SoakReport JSON and Prometheus text
 //    written atomically (tmp + rename), so an operator tails files instead
 //    of attaching a debugger.
@@ -31,9 +27,7 @@
 
 #include <chrono>
 #include <cstdint>
-#include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -110,7 +104,6 @@ struct RoundSummary {
 /// different rounds merge to one entry (ledger priority = earliest round).
 struct SoakReport {
   std::uint64_t rounds = 0;       ///< rounds completed (including stopped ones)
-  std::uint64_t knob_swaps = 0;   ///< options swaps applied at round boundaries
   std::uint64_t warm_starts = 0;  ///< cumulative cells_from_cache over all rounds
   std::size_t primed_from_store = 0;  ///< artifacts loaded from the store and primed
   bool warm_started = false;          ///< the store primed at least one artifact
@@ -125,8 +118,8 @@ struct SoakReport {
 
 /// Thread model: ONE driver at a time. Either the daemon loop (start/stop/
 /// drain) or a synchronous caller (run_round/run) owns round execution;
-/// mixing them is a caller error. swap_options(), report(), request_stop()
-/// and running() are safe from any thread while the loop runs.
+/// mixing them is a caller error. report(), request_stop() and running()
+/// are safe from any thread while the loop runs.
 class SoakService {
  public:
   /// Bound on retained per-round summaries (the cumulative counters and the
@@ -134,7 +127,7 @@ class SoakService {
   /// bound. Oldest summaries are dropped and counted.
   static constexpr std::size_t kMaxRoundSummaries = 4096;
 
-  /// Builds the campaign (service-wired caches) and — when `store_path` is
+  /// Builds the one campaign (service-wired caches) and — when `store_path` is
   /// set and `warm_start` — loads the store and primes the bootstrap cache
   /// and UNSAT memo. A missing store is the normal first boot; a corrupt or
   /// truncated one degrades to a cold start with the typed error retained
@@ -161,21 +154,12 @@ class SoakService {
   [[nodiscard]] bool running() const noexcept;
 
   /// --- synchronous driving (tests, examples, benches) ---------------------
-  /// Runs exactly one round on the calling thread (applying any pending
-  /// knob swap at its start) and returns its summary.
+  /// Runs exactly one round on the calling thread and returns its summary.
   RoundSummary run_round();
   /// Runs `rounds` rounds back to back and returns the final report.
   SoakReport run(std::size_t rounds);
 
   /// --- control surface -----------------------------------------------------
-  /// Validates `next` and queues it; the swap is applied exactly at the
-  /// next round boundary (the running round is never perturbed). On
-  /// rejection the old options stay and the typed "campaign.options.*"
-  /// error is returned. A second queued swap replaces the first. The
-  /// service re-applies its cache wiring on top of `next`; warm state
-  /// carries across the swap for keys the new options still produce.
-  [[nodiscard]] util::Status swap_options(explore::CampaignOptions next);
-
   /// Snapshot of the cumulative report (copy; safe while the loop runs).
   [[nodiscard]] SoakReport report() const;
   /// Persists store + report + metrics now (first error wins). The round
@@ -190,11 +174,6 @@ class SoakService {
 
  private:
   void loop();
-  /// Applies a queued swap (campaign rebuild + cache re-prime). Caller
-  /// holds mutex_.
-  void apply_pending_swap_locked();
-  /// Rebuilds campaign_ from `options` with the service's cache wiring.
-  void build_campaign_locked(const explore::CampaignOptions& options);
   /// Publishes contents_' artifacts into the bootstrap cache as states
   /// holding only their raw cut (no decode — the first resume per key
   /// decodes it for every later one). Returns how many primed. Caller
@@ -205,21 +184,18 @@ class SoakService {
   void harvest_locked(const explore::MatrixResult& result);
   [[nodiscard]] util::Status persist_locked();
 
-  std::vector<explore::ScenarioSpec> scenarios_;
   SoakOptions options_;
-  /// Service-owned warm-start state, wired into every campaign this service
-  /// builds: the bootstrap cache (CampaignOptions::Caching::live_cache) and
-  /// the UNSAT seed vector (Caching::unsat_seed). Stable addresses for the
-  /// service's lifetime — campaign rebuilds re-point at the same objects.
+  /// Service-owned warm-start state, wired into the campaign: the bootstrap
+  /// cache (CampaignOptions::Caching::live_cache) and the UNSAT seed vector
+  /// (Caching::unsat_seed). Declared before campaign_, which points at them.
   explore::LiveStateCache cache_;
   std::vector<std::uint64_t> unsat_;
-  std::unique_ptr<explore::Campaign> campaign_;
+  explore::Campaign campaign_;
   explore::FaultLedger ledger_;
 
-  mutable std::mutex mutex_;  ///< guards report_, contents_, pending_, store error
+  mutable std::mutex mutex_;  ///< guards report_, contents_, store error
   SoakReport report_;
   StoreContents contents_;
-  std::optional<explore::CampaignOptions> pending_;
   util::Error store_error_;
 
   explore::StopSource stop_;

@@ -1,4 +1,4 @@
-// Small string helpers for the config parser and report formatting.
+// Small string helpers for parsing and report formatting.
 #pragma once
 
 #include <cstdint>

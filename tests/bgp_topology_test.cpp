@@ -7,13 +7,31 @@ namespace {
 
 using core::System;
 
+/// The structural sanity a deployable config needs: nonzero ASN and router
+/// id, nonzero and distinct-address neighbors, host bits of every
+/// originated prefix zeroed.
+void expect_structurally_valid(const RouterConfig& config) {
+  EXPECT_NE(config.asn, 0u) << config.name;
+  EXPECT_NE(config.router_id, 0u) << config.name;
+  for (std::size_t i = 0; i < config.neighbors.size(); ++i) {
+    const NeighborConfig& n = config.neighbors[i];
+    EXPECT_NE(n.asn, 0u) << config.name << " -> " << n.address.to_string();
+    for (std::size_t j = i + 1; j < config.neighbors.size(); ++j) {
+      EXPECT_NE(config.neighbors[j].address, n.address)
+          << config.name << " lists neighbor " << n.address.to_string() << " twice";
+    }
+  }
+  for (const util::IpPrefix& p : config.networks) {
+    EXPECT_EQ(util::IpPrefix(p.address(), p.length()), p)
+        << config.name << " originates " << p.to_string() << " with host bits set";
+  }
+}
+
 TEST(TopologyTest, BuildersProduceValidConfigs) {
   for (const SystemBlueprint& bp :
        {make_line(3), make_ring(5), make_full_mesh(4), make_star(4),
         make_internet({2, 3, 4}), make_bad_gadget()}) {
-    for (const RouterConfig& config : bp.configs) {
-      EXPECT_TRUE(validate_config(config).ok()) << config.name;
-    }
+    for (const RouterConfig& config : bp.configs) expect_structurally_valid(config);
     // Every link endpoint exists and every neighbor has an address-book hit.
     const auto book = bp.address_book();
     for (const LinkSpec& link : bp.links) {

@@ -98,11 +98,6 @@ struct Recorder : CampaignObserver {
       stop_after_first_done->request_stop();
     }
   }
-  void on_progress(const CampaignProgress& progress) override {
-    events.push_back("progress:" + std::to_string(progress.cells_done) + "/" +
-                     std::to_string(progress.cells_total) + ":" +
-                     std::to_string(progress.faults));
-  }
 };
 
 // ---------------------------------------------------------------------------
@@ -186,12 +181,9 @@ TEST(CampaignOptionsTest, BuilderRejectsNonsense) {
             "campaign.options.zero_inputs");
 
   EXPECT_EQ(code_of(CampaignOptions::builder()
-                        .parallelism(CampaignOptions::Parallelism{0, nullptr})
+                        .parallelism(CampaignOptions::Parallelism{0})
                         .build()),
             "campaign.options.zero_workers");
-
-  EXPECT_EQ(code_of(CampaignOptions::builder().progress_every_cells(0).build()),
-            "campaign.options.zero_progress_cadence");
 }
 
 TEST(CampaignOptionsTest, LoweringMapsEveryLegacyKnob) {
@@ -205,7 +197,6 @@ TEST(CampaignOptionsTest, LoweringMapsEveryLegacyKnob) {
   options.caching.live_cache = &live_cache;
   options.caching.unsat_seed = &unsat_seed;
   options.parallelism.nested = false;
-  options.telemetry.progress_every_cells = 4;
   options.determinism.implementations = {"", "fsm"};
   options.determinism.strategy_seed = 0xf1f1;
   options.determinism.oscillation_threshold = 5;
@@ -231,7 +222,6 @@ TEST(CampaignOptionsTest, LoweringMapsEveryLegacyKnob) {
   EXPECT_EQ(matrix.unsat_seed, &unsat_seed);
   EXPECT_EQ(matrix.strategy_seed, std::optional<std::uint64_t>(0xf1f1));
   EXPECT_FALSE(matrix.nested_parallelism);
-  EXPECT_EQ(matrix.progress_every_cells, 4u);
 }
 
 // ---------------------------------------------------------------------------
@@ -283,7 +273,7 @@ TEST(CampaignEquivalenceTest, ObserverEventStreamIsCanonicalAndWorkerCountInvari
   const Recorder serial = record(1);
   ASSERT_FALSE(serial.events.empty());
 
-  // Canonical order: start(0) ... done(0), progress(1/N), start(1) ...
+  // Canonical order: start(0) ... done(0), start(1) ...
   std::size_t expected_cell = 0;
   std::size_t cells_total = 0;
   for (std::size_t i = 0; i < serial.events.size();) {
@@ -297,10 +287,6 @@ TEST(CampaignEquivalenceTest, ObserverEventStreamIsCanonicalAndWorkerCountInvari
     ASSERT_EQ(serial.events[i],
               "done:" + std::to_string(expected_cell) + ":completed");
     ++i;
-    ASSERT_EQ(serial.events[i].rfind("progress:" + std::to_string(expected_cell + 1) + "/",
-                                     0),
-              0u);
-    ++i;
     ++expected_cell;
     ++cells_total;
   }
@@ -309,46 +295,6 @@ TEST(CampaignEquivalenceTest, ObserverEventStreamIsCanonicalAndWorkerCountInvari
   // The determinism receipt: byte-identical event stream at any worker count.
   EXPECT_EQ(record(2).events, serial.events);
   EXPECT_EQ(record(8).events, serial.events);
-}
-
-TEST(CampaignProgressTest, CadenceThrottlesProgressAndAlwaysEmitsTheFinalCell) {
-  const auto progress_counts = [](std::size_t every) {
-    Recorder recorder;
-    CampaignOptions options = small_options(/*workers=*/2);
-    options.telemetry.progress_every_cells = every;
-    Campaign campaign(campaign_scenarios(), options);
-    const CampaignResult result = campaign.run(&recorder);
-    EXPECT_EQ(result.cells_completed, result.cells.size());
-
-    // Progress counts are monotonically non-decreasing in stream order and
-    // the final event covers every cell.
-    std::size_t last_done = 0;
-    std::size_t last_faults = 0;
-    std::vector<std::size_t> dones;
-    for (const std::string& event : recorder.events) {
-      if (event.rfind("progress:", 0) != 0) continue;
-      const std::size_t done = std::stoul(event.substr(9));
-      const std::size_t faults = std::stoul(event.substr(event.rfind(':') + 1));
-      EXPECT_GE(done, last_done) << event;
-      EXPECT_GE(faults, last_faults) << event;
-      last_done = done;
-      last_faults = faults;
-      dones.push_back(done);
-    }
-    EXPECT_EQ(last_done, result.cells.size());
-    return dones;
-  };
-
-  const std::vector<std::size_t> every_cell = progress_counts(1);
-  EXPECT_EQ(every_cell.size(), 8u);  // 2 scenarios x 2 strategies x 2 seeds
-
-  const std::vector<std::size_t> every_third = progress_counts(3);
-  EXPECT_EQ(every_third, (std::vector<std::size_t>{3, 6, 8}))
-      << "cadence 3 over 8 cells: multiples of 3 plus the mandatory final";
-
-  const std::vector<std::size_t> oversized = progress_counts(100);
-  EXPECT_EQ(oversized, (std::vector<std::size_t>{8}))
-      << "a cadence beyond the cell count still reports the final cell";
 }
 
 // ---------------------------------------------------------------------------
@@ -483,21 +429,20 @@ TEST(CampaignSoakTest, OwnedLiveCacheServesRepeatRuns) {
 }  // namespace dice::explore
 
 // ---------------------------------------------------------------------------
-// CellMerger: stop firing MID-MERGE while out-of-order results are held
+// CellMerger: out-of-order results held, then a never-landed tail
 // ---------------------------------------------------------------------------
 // The reorder buffer's sharpest edge: results landing out of canonical
-// order while the stop token fires between landings. The stream must stay
-// canonical, every held cell must still drain, progress must carry the
-// fired flag, and finish_remaining must cover the never-landed tail — a
-// pinned partial-validity receipt for the merge path both ScenarioMatrix
-// and shard::ShardCoordinator share.
+// order, then a stop leaving the tail of the space never landed. The
+// stream must stay canonical, every held cell must still drain, and
+// finish_remaining must cover the never-landed tail — a pinned
+// partial-validity receipt for the merge path both ScenarioMatrix and
+// shard::ShardCoordinator share.
 
 #include "explore/merge.hpp"
 
 namespace dice::explore {
 namespace {
 
-/// Event recorder that also captures each progress event's stop flag.
 struct MergeRecorder : CampaignObserver {
   std::vector<std::string> events;
 
@@ -511,11 +456,6 @@ struct MergeRecorder : CampaignObserver {
   void on_cell_done(const CellDescriptor& cell, const CellResult& result) override {
     events.push_back("done:" + std::to_string(cell.index) + ":" +
                      (result.started ? "started" : "skipped"));
-  }
-  void on_progress(const CampaignProgress& progress) override {
-    events.push_back("progress:" + std::to_string(progress.cells_done) + "/" +
-                     std::to_string(progress.cells_total) +
-                     (progress.stop_requested ? ":stopping" : ""));
   }
 };
 
@@ -538,14 +478,11 @@ struct MergeRecorder : CampaignObserver {
   return fault;
 }
 
-TEST(CellMergerTest, StopMidMergeOfOutOfOrderResultsDrainsHeldCells) {
+TEST(CellMergerTest, HeldOutOfOrderCellsDrainAndFinishRemainingCoversTheTail) {
   std::vector<CellResult> cells = merger_cells(6);
   MergeRecorder recorder;
-  StopSource source;
   CellMerger::Options options;
   options.observer = &recorder;
-  options.progress_every_cells = 1;
-  options.stop = source.token();
   CellMerger merger(&cells, options);
 
   // Cells 2 and 1 land BEFORE cell 0: nothing may stream yet.
@@ -560,30 +497,24 @@ TEST(CellMergerTest, StopMidMergeOfOutOfOrderResultsDrainsHeldCells) {
   EXPECT_TRUE(merger.finished(1));
   EXPECT_FALSE(merger.finished(0));
 
-  // The stop fires MID-MERGE, with two finished cells buffered out of
-  // order. A fired token must not wedge or truncate the buffered prefix.
-  source.request_stop();
-
-  // Cell 0 lands: the whole held prefix 0,1,2 drains in canonical order,
-  // and every progress event from here on reports the fired token.
+  // Cell 0 lands: the whole held prefix 0,1,2 drains in canonical order.
   cells[0].started = cells[0].completed = true;
   merger.record_faults(0, {merger_fault("div", 3)});
   merger.finish_cell(0);
   const std::vector<std::string> expected_prefix = {
-      "start:0", "fault:0:div", "done:0:started", "progress:1/6:stopping",
+      "start:0", "fault:0:div", "done:0:started",
       "start:1", "fault:1:osc", "fault:1:div", "done:1:started",
-      "progress:2/6:stopping",
-      "start:2", "fault:2:osc", "done:2:started", "progress:3/6:stopping",
+      "start:2", "fault:2:osc", "done:2:started",
   };
   ASSERT_EQ(recorder.events, expected_prefix);
 
-  // Cells 3-5 never land (skipped by the stop): finish_remaining covers
+  // Cells 3-5 never land (a stop skipped them): finish_remaining covers
   // them exactly once, as skipped, still in canonical order.
   merger.finish_remaining();
   const std::vector<std::string> expected_tail = {
-      "start:3", "done:3:skipped", "progress:4/6:stopping",
-      "start:4", "done:4:skipped", "progress:5/6:stopping",
-      "start:5", "done:5:skipped", "progress:6/6:stopping",
+      "start:3", "done:3:skipped",
+      "start:4", "done:4:skipped",
+      "start:5", "done:5:skipped",
   };
   ASSERT_EQ(recorder.events.size(), expected_prefix.size() + expected_tail.size());
   for (std::size_t i = 0; i < expected_tail.size(); ++i) {
@@ -601,12 +532,11 @@ TEST(CellMergerTest, StopMidMergeOfOutOfOrderResultsDrainsHeldCells) {
   EXPECT_EQ(faults[3].check, "osc");  // cell 2
 }
 
-TEST(CellMergerTest, ProgressCadenceAlwaysCoversTheFinalCell) {
+TEST(CellMergerTest, ReversedLandingsStreamEveryCellOnceInCanonicalOrder) {
   std::vector<CellResult> cells = merger_cells(5);
   MergeRecorder recorder;
   CellMerger::Options options;
   options.observer = &recorder;
-  options.progress_every_cells = 3;  // 5 cells: cadence hits 3, final hits 5
   CellMerger merger(&cells, options);
   // Land in fully reversed order — the worst case for the reorder buffer.
   for (std::size_t i = cells.size(); i-- > 0;) {
@@ -614,16 +544,12 @@ TEST(CellMergerTest, ProgressCadenceAlwaysCoversTheFinalCell) {
     merger.finish_cell(i);
   }
   merger.finish_remaining();  // nothing left: must be a no-op
-  std::vector<std::string> progress;
-  for (const std::string& event : recorder.events) {
-    if (event.starts_with("progress:")) progress.push_back(event);
+  std::vector<std::string> expected;
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    expected.push_back("start:" + std::to_string(i));
+    expected.push_back("done:" + std::to_string(i) + ":started");
   }
-  EXPECT_EQ(progress, (std::vector<std::string>{"progress:3/5", "progress:5/5"}));
-  std::size_t dones = 0;
-  for (const std::string& event : recorder.events) {
-    if (event.starts_with("done:")) ++dones;
-  }
-  EXPECT_EQ(dones, cells.size()) << "every cell streams exactly once";
+  EXPECT_EQ(recorder.events, expected) << "every cell streams exactly once, canonically";
 }
 
 }  // namespace

@@ -8,7 +8,8 @@
 // worker-count-invariant for completed cells; (4) the passivity invariant:
 // the committed topology27 fault hash 63f680b04458c2a9 is byte-identical
 // with a Trace attached at workers 1, 2, 4 and 8, and a Campaign run under
-// a ProgressReporter produces the same fault bytes as a bare run, and the
+// a trace and a streaming observer produces the same fault bytes as a bare
+// run, and the
 // bench-matrix soak (default_bench_scenarios, grammar + concolic) lands on
 // its pinned hash nested on and off under a trace that drops nothing and
 // stays in canonical cell order; (5) the Log sink swap/write race is gone —
@@ -26,7 +27,6 @@
 #include "explore/campaign.hpp"
 #include "obs/metrics.hpp"
 #include "obs/names.hpp"
-#include "obs/progress.hpp"
 #include "obs/trace.hpp"
 #include "svc/soak_service.hpp"
 #include "util/log.hpp"
@@ -258,44 +258,6 @@ TEST(TraceTest, SpanOnNullTraceRecordsNothingAndOnRealTraceRecordsOnce) {
 }
 
 // ---------------------------------------------------------------------------
-// ProgressReporter: formatting + decorator forwarding
-// ---------------------------------------------------------------------------
-
-struct CountingObserver : explore::CampaignObserver {
-  std::size_t starts = 0, faults = 0, dones = 0, progresses = 0;
-  void on_cell_start(const explore::CellDescriptor&) override { ++starts; }
-  void on_fault(const explore::CellDescriptor&, const FaultReport&) override {
-    ++faults;
-  }
-  void on_cell_done(const explore::CellDescriptor&,
-                    const explore::CellResult&) override {
-    ++dones;
-  }
-  void on_progress(const explore::CampaignProgress&) override { ++progresses; }
-};
-
-TEST(ProgressReporterTest, FormatsProgressLinesAndForwardsDownstream) {
-  CountingObserver downstream;
-  ProgressReporter::Options options;
-  options.next = &downstream;
-  ProgressReporter reporter(options);
-
-  explore::CampaignProgress progress;
-  progress.cells_done = 3;
-  progress.cells_total = 8;
-  progress.faults = 2;
-  reporter.on_progress(progress);
-
-  EXPECT_EQ(reporter.lines_emitted(), 1u);
-  EXPECT_EQ(reporter.last().cells_done, 3u);
-  EXPECT_NE(reporter.last_line().find("cells 3/8"), std::string::npos)
-      << reporter.last_line();
-  EXPECT_NE(reporter.last_line().find("faults=2"), std::string::npos)
-      << reporter.last_line();
-  EXPECT_EQ(downstream.progresses, 1u);
-}
-
-// ---------------------------------------------------------------------------
 // The passivity invariant — the committed determinism receipt survives
 // telemetry. The topology27 receipt configuration has hashed to this value
 // since it was first recorded (tests/explore_nested_test.cpp pins the bare
@@ -364,6 +326,20 @@ TEST(ObsPassivityTest, Topology27HashByteIdenticalWithTraceAttached) {
   return lines;
 }
 
+/// Counts the canonical stream, so the passivity run keeps an observer
+/// attached on the flush path.
+struct CountingObserver : explore::CampaignObserver {
+  std::size_t starts = 0, faults = 0, dones = 0;
+  void on_cell_start(const explore::CellDescriptor&) override { ++starts; }
+  void on_fault(const explore::CellDescriptor&, const FaultReport&) override {
+    ++faults;
+  }
+  void on_cell_done(const explore::CellDescriptor&,
+                    const explore::CellResult&) override {
+    ++dones;
+  }
+};
+
 TEST(ObsPassivityTest, CampaignFaultBytesIdenticalUnderFullTelemetry) {
   // Reference: a bare serial run, no telemetry attached.
   explore::Campaign reference(campaign_scenarios(),
@@ -376,16 +352,14 @@ TEST(ObsPassivityTest, CampaignFaultBytesIdenticalUnderFullTelemetry) {
       explore::CampaignOptions options = campaign_options(workers, nested);
       Trace trace;
       options.telemetry.trace = &trace;
-      options.telemetry.progress_every_cells = 2;
       explore::Campaign campaign(campaign_scenarios(), options);
-      ProgressReporter::Options reporter_options;
-      reporter_options.pool = &campaign.pool();
-      ProgressReporter reporter(reporter_options);
-      const explore::CampaignResult result = campaign.run(&reporter);
+      CountingObserver observer;
+      const explore::CampaignResult result = campaign.run(&observer);
       EXPECT_EQ(fault_lines(result.faults), expected)
           << "workers=" << workers << " nested=" << nested;
       EXPECT_EQ(result.cells_completed, result.cells.size());
-      EXPECT_GT(reporter.lines_emitted(), 0u);
+      EXPECT_EQ(observer.dones, result.cells.size());
+      EXPECT_EQ(observer.faults, result.faults.size());
       if (kEnabled) {
         EXPECT_GT(result.telemetry.counter_value(names::kEpisodes), 0u);
       }
@@ -400,8 +374,7 @@ constexpr std::uint64_t kBenchMatrixFaultHash = 0x247c9e9d05921a3eULL;
 constexpr std::size_t kBenchMatrixFaults = 40;
 constexpr std::size_t kBenchMatrixCells = 20;
 
-[[nodiscard]] explore::CampaignResult bench_matrix_soak(bool nested, Trace* trace,
-                                                        explore::CampaignObserver* observer) {
+[[nodiscard]] explore::CampaignResult bench_matrix_soak(bool nested, Trace* trace) {
   explore::CampaignOptions options =
       explore::CampaignOptions::builder()
           .strategies({explore::StrategyKind::kGrammar, explore::StrategyKind::kConcolic})
@@ -414,18 +387,15 @@ constexpr std::size_t kBenchMatrixCells = 20;
           .build()
           .take();
   explore::Campaign campaign(explore::default_bench_scenarios(), options);
-  return campaign.run(observer);
+  return campaign.run();
 }
 
 TEST(ObsPassivityTest, BenchMatrixSoakPinnedNestedOnAndOffUnderFullTelemetry) {
-  // Cells-only and bare first; then nested with a span trace and a
-  // ProgressReporter attached. Both must land on the recorded fault bytes.
-  const explore::CampaignResult bare =
-      bench_matrix_soak(/*nested=*/false, nullptr, nullptr);
+  // Cells-only and bare first; then nested with a span trace attached.
+  // Both must land on the recorded fault bytes.
+  const explore::CampaignResult bare = bench_matrix_soak(/*nested=*/false, nullptr);
   Trace trace;
-  ProgressReporter reporter;
-  const explore::CampaignResult traced =
-      bench_matrix_soak(/*nested=*/true, &trace, &reporter);
+  const explore::CampaignResult traced = bench_matrix_soak(/*nested=*/true, &trace);
 
   for (const explore::CampaignResult* result : {&bare, &traced}) {
     const bool nested = result == &traced;

@@ -6,10 +6,12 @@
 // error (checksum verified before any payload parse), never a crash.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <variant>
 
 #include "shard/scenario_set.hpp"
 #include "shard/wire.hpp"
+#include "util/envelope.hpp"
 #include "util/hash.hpp"
 
 namespace dice::shard {
@@ -89,8 +91,6 @@ TEST(ShardWire, JobLeavesProcessLocalFieldsUnset) {
   const std::vector<std::uint64_t> unsat_seed{1, 2};
   JobSpec job = make_job();
   job.campaign.caching.unsat_seed = &unsat_seed;
-  job.campaign.caching.live_cache_max_entries = 3;
-  job.campaign.telemetry.progress_every_cells = 5;
   job.campaign.deadline = explore::StopToken::Clock::now();
   const util::Bytes bytes = encode_job(job);
   EXPECT_EQ(bytes, encode_job(make_job()));
@@ -183,14 +183,19 @@ TEST(ShardWire, EqualValuesProduceEqualBytes) {
 // The robustness pass: every truncation length and every single-byte flip
 // of every message kind must decode to a TYPED error — exercised for all
 // four tags so each payload parser sits behind the checksum.
-TEST(ShardWire, EveryTruncationAndFlipFailsTyped) {
+/// One encoded frame of every message kind.
+[[nodiscard]] std::vector<util::Bytes> every_message_kind() {
   std::vector<util::Bytes> messages;
   messages.push_back(encode_job(make_job()));
   messages.push_back(encode_cell_result(make_cell_result()));
   messages.push_back(encode_shard_done({4, 2}));
   messages.push_back(
       encode_cell_descriptor(WireCellDescriptor{1, "ring6", "random", 3, ""}));
-  for (const util::Bytes& bytes : messages) {
+  return messages;
+}
+
+TEST(ShardWire, EveryTruncationAndFlipFailsTyped) {
+  for (const util::Bytes& bytes : every_message_kind()) {
     ASSERT_TRUE(decode_message(bytes).ok());
     for (std::size_t len = 0; len < bytes.size(); ++len) {
       auto truncated =
@@ -224,6 +229,50 @@ TEST(ShardWire, EveryTruncationAndFlipFailsTyped) {
                 trailing.error().code == "shard.wire.checksum")
         << trailing.error().code;
   }
+}
+
+// Mutate-then-reseal: the checksum stops every corruption above before a
+// field decoder runs. Here each mutated body is resealed under a valid
+// FNV-1a checksum, so the field decoders themselves see hostile bytes. Each
+// must decode to a value or fail with a typed code: never abort, throw or
+// trip a sanitizer (this suite runs under ASan+UBSan in CI).
+TEST(ShardWire, ResealedBodyMutantsDecodeOrFailTyped) {
+  const util::Envelope envelope{std::string_view(kMagic, sizeof(kMagic)), kVersion,
+                                "shard.wire.magic", "shard.wire.version",
+                                "shard.wire.checksum"};
+  constexpr std::size_t kHeader = sizeof(kMagic) + 1 + 8;  // magic | version | checksum
+  constexpr std::uint8_t kFlips[] = {0x01, 0x40, 0x7f, 0x80, 0xff};
+  std::size_t mutants = 0;
+  std::size_t decoded = 0;
+  std::size_t body_bytes = 0;
+  for (const util::Bytes& bytes : every_message_kind()) {
+    ASSERT_GT(bytes.size(), kHeader);
+    const util::Bytes body(bytes.begin() + kHeader, bytes.end());
+    ASSERT_EQ(envelope.seal(body), bytes) << "resealing an untouched body must be exact";
+    body_bytes += body.size();
+    for (std::size_t i = 0; i < body.size(); ++i) {
+      for (const std::uint8_t flip : kFlips) {
+        util::Bytes mutated = body;
+        mutated[i] ^= flip;
+        const util::Bytes mutant = envelope.seal(mutated);
+        ++mutants;
+        std::optional<util::Result<Message>> result;
+        EXPECT_NO_THROW(result.emplace(decode_message(mutant)))
+            << "body byte " << i << " ^ " << static_cast<unsigned>(flip);
+        if (!result.has_value()) continue;
+        if (result->ok()) {
+          ++decoded;
+        } else {
+          EXPECT_FALSE(result->error().code.empty())
+              << "untyped error at body byte " << i << " ^ " << static_cast<unsigned>(flip);
+        }
+      }
+    }
+  }
+  EXPECT_EQ(mutants, body_bytes * std::size(kFlips));
+  // Both outcomes occur: some fields accept any value, others reject.
+  EXPECT_GT(decoded, 0u);
+  EXPECT_LT(decoded, mutants);
 }
 
 TEST(ShardWire, SpecificCorruptionsYieldSpecificCodes) {

@@ -8,8 +8,10 @@
 
 #include <cstdio>
 #include <fstream>
+#include <optional>
 
 #include "svc/artifact_store.hpp"
+#include "util/envelope.hpp"
 #include "util/hash.hpp"
 
 namespace dice::svc {
@@ -148,6 +150,50 @@ TEST(ArtifactStoreTest, EverySingleByteCorruptionFailsTyped) {
       ASSERT_FALSE(decoded.error().code.empty());
     }
   }
+}
+
+// Mutate-then-reseal: the checksum stops every corruption above before a
+// field decoder runs. Here each mutated body is resealed under a valid
+// FNV-1a checksum, so the field decoders themselves see hostile bytes. Each
+// must decode to a value or fail with a typed code: never abort, throw or
+// trip a sanitizer (this suite runs under ASan+UBSan in CI).
+TEST(ArtifactStoreTest, ResealedBodyMutantsDecodeOrFailTyped) {
+  const util::Envelope envelope{
+      std::string_view(ArtifactStore::kMagic, sizeof(ArtifactStore::kMagic)),
+      ArtifactStore::kVersion, "svc.store.bad_magic", "svc.store.bad_version",
+      "svc.store.checksum_mismatch"};
+  constexpr std::size_t kHeader = sizeof(ArtifactStore::kMagic) + 1 + 8;
+  constexpr std::uint8_t kFlips[] = {0x01, 0x40, 0x7f, 0x80, 0xff};
+  auto encoded = ArtifactStore::encode(make_contents());
+  ASSERT_TRUE(encoded.ok());
+  ASSERT_GT(encoded.value().size(), kHeader);
+  const util::Bytes body(encoded.value().begin() + kHeader, encoded.value().end());
+  ASSERT_EQ(envelope.seal(body), encoded.value())
+      << "resealing an untouched body must be exact";
+  std::size_t mutants = 0;
+  std::size_t decoded = 0;
+  for (std::size_t i = 0; i < body.size(); ++i) {
+    for (const std::uint8_t flip : kFlips) {
+      util::Bytes mutated = body;
+      mutated[i] ^= flip;
+      const util::Bytes mutant = envelope.seal(mutated);
+      ++mutants;
+      std::optional<util::Result<StoreContents>> result;
+      EXPECT_NO_THROW(result.emplace(ArtifactStore::decode(mutant)))
+          << "body byte " << i << " ^ " << static_cast<unsigned>(flip);
+      if (!result.has_value()) continue;
+      if (result->ok()) {
+        ++decoded;
+      } else {
+        EXPECT_FALSE(result->error().code.empty())
+            << "untyped error at body byte " << i << " ^ " << static_cast<unsigned>(flip);
+      }
+    }
+  }
+  EXPECT_EQ(mutants, body.size() * std::size(kFlips));
+  // Both outcomes occur: some fields accept any value, others reject.
+  EXPECT_GT(decoded, 0u);
+  EXPECT_LT(decoded, mutants);
 }
 
 TEST(ArtifactStoreTest, EnvelopeErrorsAreDistinguished) {

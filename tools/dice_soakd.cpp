@@ -273,9 +273,8 @@ int main(int argc, char** argv) {
 
   const svc::SoakReport report = service.report();
   std::printf("soak done: %llu round(s), %zu cumulative fault(s), "
-              "%llu warm bootstrap(s), %llu knob swap(s)\n",
+              "%llu warm bootstrap(s)\n",
               static_cast<unsigned long long>(report.rounds), report.faults.size(),
-              static_cast<unsigned long long>(report.warm_starts),
-              static_cast<unsigned long long>(report.knob_swaps));
+              static_cast<unsigned long long>(report.warm_starts));
   return EXIT_SUCCESS;
 }
