@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "dice/orchestrator.hpp"
+#include "explore/campaign.hpp"
 
 namespace dice::core {
 namespace {
@@ -182,6 +183,78 @@ TEST(DiceTest, DetectsProgrammingErrorViaConcolic) {
   EXPECT_NE(inputs, SIZE_MAX) << "concolic exploration failed to reach the injected bug";
   // The engine itself must also have logged the crash during generation.
   EXPECT_GE(strategy.crashes().size() + strategy.stats().crashes, 1u);
+}
+
+/// The options bench_e1_hijack and bench_e3_program_error drive: the
+/// campaign builder's lowering plus the serial early-exit contract.
+DiceOptions early_exit_options(std::size_t inputs_per_episode) {
+  DiceOptions options = explore::CampaignOptions::builder()
+                            .inputs_per_episode(inputs_per_episode)
+                            .build()
+                            .take()
+                            .to_dice_options();
+  options.stop_on_first_fault = true;
+  return options;
+}
+
+/// Counts next_batch calls on the wrapped strategy.
+class CountingStrategy final : public InputStrategy {
+ public:
+  explicit CountingStrategy(InputStrategy& inner) : inner_(inner) {}
+  [[nodiscard]] std::string_view name() const noexcept override { return inner_.name(); }
+  void on_episode(const System& live, sim::NodeId explorer) override {
+    inner_.on_episode(live, explorer);
+  }
+  [[nodiscard]] std::vector<util::Bytes> next_batch(std::size_t n) override {
+    ++batches_;
+    return inner_.next_batch(n);
+  }
+  [[nodiscard]] std::size_t batches() const noexcept { return batches_; }
+
+ private:
+  InputStrategy& inner_;
+  std::size_t batches_ = 0;
+};
+
+TEST(DiceTest, StopOnFirstFaultProbeCountsArePinned) {
+  // bench_e3_program_error's concolic rows: probes (baseline clones plus
+  // subjected inputs) until the first programming error. Early exit makes
+  // the count exact, so any change to clone order, input order or the
+  // stop rule moves it.
+  const std::pair<std::uint32_t, std::size_t> rows[] = {
+      {bgp::bugs::kCommunityLength, 15},
+      {bgp::bugs::kAsPathZeroSegment, 57},
+      {bgp::bugs::kMedOverflow, 34}};
+  for (const auto& [bug, probes] : rows) {
+    bgp::SystemBlueprint bp = make_line(3);
+    inject_bug(bp, /*node=*/0, bug);
+    Orchestrator dice(std::move(bp), early_exit_options(64));
+    ASSERT_TRUE(dice.bootstrap());
+    ConcolicStrategy::Options concolic;
+    concolic.engine.max_executions = 4000;
+    ConcolicStrategy strategy(concolic);
+    EXPECT_EQ(dice.explore_until_fault(strategy, FaultClass::kProgrammingError,
+                                       /*max_episodes=*/9),
+              probes)
+        << "bug mask " << bug;
+  }
+}
+
+TEST(DiceTest, StopOnFirstFaultBaselineEndsEpisodeBeforeInputGeneration) {
+  // bench_e1_hijack's same-prefix MOAS row: the baseline clone already
+  // carries the hijack, so the episode ends after one probe and the
+  // strategy is never asked for inputs.
+  bgp::SystemBlueprint bp = make_internet();
+  inject_hijack(bp, /*victim=*/12, /*attacker=*/20, /*more_specific=*/false);
+  Orchestrator dice(std::move(bp), early_exit_options(16));
+  ASSERT_TRUE(dice.bootstrap());
+  ConcolicStrategy inner;
+  CountingStrategy strategy(inner);
+  EXPECT_EQ(dice.explore_until_fault(strategy, FaultClass::kOperatorMistake,
+                                     /*max_episodes=*/8),
+            1u);
+  EXPECT_EQ(dice.episodes_run(), 1u);
+  EXPECT_EQ(strategy.batches(), 0u);
 }
 
 TEST(DiceTest, ExplorerRotationCoversAllNodes) {
