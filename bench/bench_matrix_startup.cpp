@@ -20,6 +20,7 @@
 #include "bench_util.hpp"
 #include "dice/orchestrator.hpp"
 #include "explore/campaign.hpp"
+#include "obs/names.hpp"
 
 namespace {
 
@@ -137,14 +138,20 @@ int main() {
       cached_repeat_ms > 0.0 ? baseline_repeat_ms / cached_repeat_ms : 0.0;
   const bool identical = fresh.fault_lines == cached.fault_lines &&
                          !fresh.fault_lines.empty();
+  // The cached run's live-cache traffic, from its registry delta.
+  const obs::MetricsSnapshot& traffic = cached.result.telemetry;
+  const auto cache_misses =
+      static_cast<unsigned long long>(traffic.counter_value(obs::names::kLiveCacheMisses));
+  const auto cache_hits =
+      static_cast<unsigned long long>(traffic.counter_value(obs::names::kLiveCacheHits));
   std::printf(
       "\nrepeated-(scenario, seed) cell startup: %.3f ms baseline -> %.3f ms fresh "
       "-> %.3f ms cached (%.1fx vs baseline); cache %llu miss / %llu hit "
       "(%llu uncacheable lookups)\n",
-      baseline_repeat_ms, fresh_repeat_ms, cached_repeat_ms, speedup,
-      static_cast<unsigned long long>(cached.result.live_cache.misses),
-      static_cast<unsigned long long>(cached.result.live_cache.hits),
-      static_cast<unsigned long long>(cached.result.live_cache.uncacheable));
+      baseline_repeat_ms, fresh_repeat_ms, cached_repeat_ms, speedup, cache_misses,
+      cache_hits,
+      static_cast<unsigned long long>(
+          traffic.counter_value(obs::names::kLiveCacheUncacheable)));
   std::printf("fault sets byte-identical cached vs fresh: %s\n",
               identical ? "YES" : "NO (equivalence bug!)");
 
@@ -180,9 +187,7 @@ int main() {
       "\"baseline_wall_ms\":%.1f,\"fresh_wall_ms\":%.1f,\"cached_wall_ms\":%.1f,"
       "\"fault_sets_identical\":%s}",
       cached.result.cells.size(), baseline_repeat_ms, fresh_repeat_ms,
-      cached_repeat_ms, speedup,
-      static_cast<unsigned long long>(cached.result.live_cache.misses),
-      static_cast<unsigned long long>(cached.result.live_cache.hits),
+      cached_repeat_ms, speedup, cache_misses, cache_hits,
       static_cast<unsigned long long>(gadget_full),
       static_cast<unsigned long long>(gadget_exit), baseline_wall_ms, fresh_wall_ms,
       cached_wall_ms, identical ? "true" : "false");

@@ -164,29 +164,23 @@ Orchestrator::Orchestrator(bgp::SystemBlueprint blueprint, DiceOptions options)
     : Orchestrator(std::make_shared<const SystemPrototype>(std::move(blueprint)), options) {}
 
 Orchestrator::Orchestrator(std::shared_ptr<const SystemPrototype> prototype,
-                           DiceOptions options, explore::CloneArena* external_arena)
+                           DiceOptions options)
     : prototype_(std::move(prototype)),
       options_(options),
-      live_(std::make_unique<System>(prototype_)),
-      external_arena_(external_arena) {
+      live_(std::make_unique<System>(prototype_)) {
   // Delta checkpoints: each episode's snapshot re-encodes only the routers
   // that changed since the previous prepared snapshot. Fault bytes do not
   // depend on it (docs/SNAPSHOT_FORMAT.md).
   live_->set_delta_checkpoints(true);
-  // A shared pool replaces the private one entirely: one global worker
-  // budget, no second thread team to oversubscribe it.
-  if (options_.shared_pool == nullptr && options_.parallelism > 1) {
-    pool_ = std::make_unique<explore::ExplorePool>(options_.parallelism);
+  // One pool runs every clone batch. A shared pool replaces the owned one
+  // entirely (one global worker budget, no second thread team); the early-
+  // exit contract is sequential, so it always gets a threadless pool.
+  if (options_.stop_on_first_fault) {
+    owned_pool_ = std::make_unique<explore::ExplorePool>(1);
+  } else if (options_.shared_pool == nullptr) {
+    owned_pool_ = std::make_unique<explore::ExplorePool>(options_.parallelism);
   }
-}
-
-explore::CloneArena& Orchestrator::arena_for(std::size_t worker, bool pooled) noexcept {
-  if (pooled) {
-    return options_.shared_pool != nullptr ? options_.shared_pool->arena(worker)
-                                           : pool_->arena(worker);
-  }
-  if (external_arena_ != nullptr) return *external_arena_;
-  return serial_arena_;
+  pool_ = owned_pool_ != nullptr ? owned_pool_.get() : options_.shared_pool;
 }
 
 std::uint32_t Orchestrator::bootstrap_flip_exit() const noexcept {
@@ -392,13 +386,9 @@ EpisodeResult Orchestrator::run_episode(InputStrategy& strategy) {
   const auto episode_start = Clock::now();
   // Span attribution: the pool worker running this cell, 0 for standalone
   // harness threads.
-  std::uint32_t span_worker = 0;
-  if (options_.shared_pool != nullptr) {
-    const std::size_t worker = options_.shared_pool->current_worker();
-    if (worker != explore::ExplorePool::kNoWorker) {
-      span_worker = static_cast<std::uint32_t>(worker);
-    }
-  }
+  const std::size_t cell_worker = pool_->current_worker();
+  const std::uint32_t span_worker =
+      cell_worker == explore::ExplorePool::kNoWorker ? 0 : static_cast<std::uint32_t>(cell_worker);
   obs::Span episode_span(options_.trace, "episode", span_worker, options_.trace_cell,
                          result.episode);
 
@@ -487,22 +477,16 @@ EpisodeResult Orchestrator::run_episode(InputStrategy& strategy) {
   // untaken branch.
   std::atomic<bool> stop_observed{false};
   const bool stoppable = options_.stop.stop_possible();
-  // Which pool executes the batch: the shared (global-budget) pool wins
-  // over a private one. `pooled` is captured by the worker-id -> arena
-  // mapping below: batch execution indexes the pool's arenas, the serial
-  // fallback uses the external/serial arena of THIS call stack.
-  explore::ExplorePool* batch_pool =
-      options_.shared_pool != nullptr ? options_.shared_pool : pool_.get();
-  const bool pooled = batch_pool != nullptr && !options_.stop_on_first_fault;
-  // Dispatch receipt, only meaningful on the pooled path: a task the pool
-  // never handed to execute was swept by an ExplorePool::drain() — possibly
-  // one triggered by a token THIS episode cannot observe. Such an episode
-  // must report interrupted rather than pass a truncated fault list off as
-  // complete. (The serial path skips tasks only by design —
-  // stop_on_first_fault — and is never drained.)
+  // Dispatch receipt: a task the pool never handed to execute was swept by
+  // an ExplorePool::drain() — possibly one triggered by a token THIS
+  // episode cannot observe. Such an episode must report interrupted rather
+  // than pass a truncated fault list off as complete.
   std::vector<unsigned char> dispatched;
   const auto execute = [&](std::size_t index, std::size_t worker) {
     dispatched[index] = 1;
+    // Early exit: the pool is threadless, so this is the serial loop's
+    // break — every later task returns without running.
+    if (options_.stop_on_first_fault && !ledger.empty()) return;
     if (stoppable && options_.stop.stop_requested()) {
       stop_observed.store(true, std::memory_order_relaxed);
       return;  // outcome stays !ran; the episode reports interrupted
@@ -510,25 +494,31 @@ EpisodeResult Orchestrator::run_episode(InputStrategy& strategy) {
     obs::Span clone_span(options_.trace, "clone", static_cast<std::uint32_t>(worker),
                          options_.trace_cell, tasks[index].episode,
                          static_cast<std::uint32_t>(index));
-    outcomes[index] =
-        explore::run_clone_task(tasks[index], check, arena_for(worker, pooled));
+    outcomes[index] = explore::run_clone_task(tasks[index], check, pool_->arena(worker));
     // 32-bit priority bands: a task would need 2^32 faults to bleed into
     // the next task's band (the old 16-bit band left only 65k headroom).
     assert(outcomes[index].faults.size() < (std::uint64_t{1} << 32));
     ledger.record_all(std::move(outcomes[index].faults),
                       static_cast<std::uint64_t>(index) << 32);
   };
-
-  std::size_t executed = 0;
-  if (options_.stop_on_first_fault) {
-    // Serial early-exit contract: the baseline clone runs — and can end the
-    // episode — before any input is generated, so a standing fault never
-    // pays for (or advances) the strategy's generation state.
+  // Runs tasks [first, tasks.size()) as one pool batch. On a shared pool
+  // called from one of its workers (a nested matrix cell) the batch becomes
+  // child tasks that idle workers steal; otherwise it is an external batch.
+  const auto run_from = [&](std::size_t first) {
     outcomes.resize(tasks.size());
     dispatched.resize(tasks.size(), 0);
-    for (; executed < tasks.size() && ledger.empty(); ++executed) {
-      execute(executed, 0);
-    }
+    pool_->run_batch(tasks.size() - first, [&](std::size_t offset, std::size_t worker) {
+      execute(first + offset, worker);
+    });
+  };
+
+  std::size_t first_input = 0;
+  if (options_.stop_on_first_fault) {
+    // The baseline clone runs — and can end the episode — before any input
+    // is generated, so a standing fault never pays for (or advances) the
+    // strategy's generation state.
+    run_from(0);
+    first_input = tasks.size();
   }
   if (!options_.stop_on_first_fault || ledger.empty()) {
     const std::vector<util::Bytes> batch = strategy.next_batch(options_.inputs_per_episode);
@@ -541,23 +531,7 @@ EpisodeResult Orchestrator::run_episode(InputStrategy& strategy) {
       }
       tasks.push_back(std::move(task));
     }
-    outcomes.resize(tasks.size());
-    dispatched.resize(tasks.size(), 0);
-    if (pooled) {
-      // Shared pool: the batch becomes child tasks of the calling cell when
-      // this runs on a pool worker (nested parallelism — idle workers steal
-      // the clones), or a regular external batch otherwise. A threadless
-      // shared pool executes the same loop inline. Private pool: unchanged.
-      batch_pool->run_batch(tasks.size(), execute);
-    } else {
-      for (; executed < tasks.size(); ++executed) {
-        execute(executed, 0);
-        if (options_.stop_on_first_fault && !ledger.empty()) {
-          ++executed;
-          break;
-        }
-      }
-    }
+    run_from(first_input);
   }
 
   // Bounded memory for long-running online testing: every episode takes a
@@ -568,12 +542,13 @@ EpisodeResult Orchestrator::run_episode(InputStrategy& strategy) {
   live_->snapshots().trim(1);
 
   result.interrupted = stop_observed.load(std::memory_order_relaxed);
-  if (!result.interrupted && pooled) {
+  if (!result.interrupted) {
     // A drain can also skip tasks WITHOUT execute ever observing a token:
     // a cancelling peer cell sweeps every queued task in the shared pool,
     // including this episode's still-queued clones — and the sweeping
     // token need not be one this episode can see. Any undispatched task
     // means the fault list is partial — same contract as an observed stop.
+    // (A threadless pool never drains: it queues nothing.)
     for (const unsigned char ran : dispatched) {
       if (ran == 0) {
         result.interrupted = true;

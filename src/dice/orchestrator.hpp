@@ -35,25 +35,28 @@ struct DiceOptions {
   std::size_t clone_event_budget = 200'000;   ///< per-clone quiescence budget
   sim::Time clone_time_budget = 120 * sim::kSecond;
   std::uint32_t oscillation_threshold = 8;
+  /// End the episode at the first clone that reports a fault: the baseline
+  /// clone runs as a batch of its own before any input is generated, then
+  /// the input clones run in task order until the episode ledger holds a
+  /// fault. Runs every batch on an owned 1-worker pool (the contract is
+  /// sequential), whatever `parallelism` and `shared_pool` say.
   bool stop_on_first_fault = false;
-  /// Worker threads for clone exploration (explore::ExplorePool). 1 keeps
-  /// the strictly serial compatibility path (no threads are spawned);
-  /// any value produces a bit-identical fault set — clone runs depend only
-  /// on their own task, and faults merge through a priority-ordered
-  /// FaultLedger that reproduces serial encounter order.
-  /// `stop_on_first_fault` forces the serial path (its early-exit contract
-  /// is inherently sequential). Ignored when `shared_pool` is set.
+  /// Workers of the orchestrator's owned explore::ExplorePool, which runs
+  /// every clone batch unless `shared_pool` is set. At 1 the pool is
+  /// threadless and runs a batch inline in task order. Any value produces a
+  /// bit-identical fault set: clone runs depend only on their own task,
+  /// and faults merge through a priority-ordered FaultLedger that
+  /// reproduces serial encounter order.
   std::size_t parallelism = 1;
   /// The GLOBAL worker budget: an externally-owned pool to run clone
-  /// batches on instead of a private `parallelism`-sized pool. When the
+  /// batches on instead of an owned `parallelism`-sized pool. When the
   /// episode runs on one of the pool's own workers (a ScenarioMatrix cell
   /// with nested parallelism), the clone batch is submitted as CHILD tasks
   /// of that worker — the cell helps execute its own clones while idle
   /// workers steal them across cell boundaries; from any other thread the
   /// batch is a regular external batch. Fault sets are byte-identical to
-  /// the serial and private-pool paths for any worker count (see
-  /// docs/DETERMINISM.md). The pool must outlive the orchestrator; a
-  /// threadless (workers <= 1) pool degrades to the exact serial loop.
+  /// the owned-pool path for any worker count (see docs/DETERMINISM.md).
+  /// The pool must outlive the orchestrator.
   explore::ExplorePool* shared_pool = nullptr;
   /// Read by nothing: clones draw no randomness. Kept only because the
   /// benchmark driver (perfbench) still assigns it; it goes with the next
@@ -122,12 +125,9 @@ class Orchestrator {
  public:
   Orchestrator(bgp::SystemBlueprint blueprint, DiceOptions options = {});
   /// Shared-prototype form: several orchestrators (ScenarioMatrix cells)
-  /// can share one SystemPrototype, which is what lets a worker's clone
-  /// arena survive across cells of the same scenario. `external_arena`,
-  /// when given, replaces the orchestrator's own serial-path arena — it
-  /// must outlive the orchestrator and belong to the calling worker.
-  Orchestrator(std::shared_ptr<const SystemPrototype> prototype, DiceOptions options = {},
-               explore::CloneArena* external_arena = nullptr);
+  /// can share one SystemPrototype, which is what lets a pool worker's
+  /// clone arena survive across cells of the same scenario.
+  Orchestrator(std::shared_ptr<const SystemPrototype> prototype, DiceOptions options = {});
 
   /// Starts the live system and converges it (through converge_bounded, so
   /// `bootstrap_early_exit` can stop a dispute wheel at the flip threshold).
@@ -168,8 +168,8 @@ class Orchestrator {
     return all_faults_;
   }
   [[nodiscard]] std::uint64_t episodes_run() const noexcept { return episode_counter_; }
-  /// The clone-execution pool, or nullptr on the serial path (parallelism <= 1).
-  [[nodiscard]] explore::ExplorePool* pool() noexcept { return pool_.get(); }
+  /// The pool every clone batch runs on: `shared_pool`, or the owned one.
+  [[nodiscard]] explore::ExplorePool& pool() noexcept { return *pool_; }
 
   /// Round-robin explorer election (step 1 of Fig. 2). Deterministic so
   /// experiments are reproducible; real deployments can plug any policy.
@@ -198,14 +198,6 @@ class Orchestrator {
                                                            bool quiesced) const;
 
  private:
-  /// The arena a task runs on: the executing pool worker's (shared or
-  /// owned), else the externally provided one, else this orchestrator's
-  /// serial arena. `pooled` distinguishes a batch running ON pool workers
-  /// (worker ids index that pool's arenas) from the inline serial loop
-  /// (worker id is a constant 0 and must NOT touch shared arena 0 — that
-  /// one belongs to the pool's real worker 0).
-  [[nodiscard]] explore::CloneArena& arena_for(std::size_t worker, bool pooled) noexcept;
-
   /// The flip threshold bootstrap converges under (0 = early-exit off) —
   /// one definition for both converge_bounded and the LiveStateCache key.
   [[nodiscard]] std::uint32_t bootstrap_flip_exit() const noexcept;
@@ -213,9 +205,8 @@ class Orchestrator {
   std::shared_ptr<const SystemPrototype> prototype_;
   DiceOptions options_;
   std::unique_ptr<System> live_;
-  std::unique_ptr<explore::ExplorePool> pool_;  ///< created when parallelism > 1
-  explore::CloneArena serial_arena_;
-  explore::CloneArena* external_arena_ = nullptr;
+  std::unique_ptr<explore::ExplorePool> owned_pool_;  ///< null when `shared_pool` runs batches
+  explore::ExplorePool* pool_ = nullptr;              ///< never null
   System::ConvergeOutcome last_bootstrap_;
   bool bootstrap_from_cache_ = false;
   sim::NodeId next_explorer_ = 0;

@@ -27,16 +27,13 @@ util::Result<core::System*> CloneArena::acquire(
     const std::shared_ptr<const core::SystemPrototype>& prototype,
     const snapshot::PreparedSnapshot& prepared, bool& reused) {
   ArenaMetrics& metrics = arena_metrics();
-  ++stats_.acquires;
   metrics.acquires.add();
   if (system_ == nullptr || prototype_.get() != prototype.get()) {
     prototype_ = prototype;
     system_ = std::make_unique<core::System>(prototype);
-    ++stats_.rebuilds;
     metrics.rebuilds.add();
     reused = false;
   } else {
-    ++stats_.reuses;
     metrics.reuses.add();
     reused = true;
   }

@@ -7,12 +7,10 @@
 // between cells that share a SystemPrototype).
 //
 // Thread-safety: none by design. An arena belongs to exactly one worker at
-// a time — ExplorePool owns one per worker thread, the orchestrator's
-// serial path owns its own, and ScenarioMatrix hands pool arenas to the
-// cell bodies running on those same workers.
+// a time: ExplorePool owns one per worker, and every clone batch runs on a
+// pool (a threadless pool's one arena belongs to its caller).
 #pragma once
 
-#include <cstdint>
 #include <memory>
 
 #include "dice/system.hpp"
@@ -21,16 +19,12 @@ namespace dice::explore {
 
 class CloneArena {
  public:
-  struct Stats {
-    std::uint64_t acquires = 0;
-    std::uint64_t reuses = 0;   ///< acquires served without constructing a System
-    std::uint64_t rebuilds = 0; ///< constructions (first use or prototype switch)
-  };
-
   /// Returns the arena's System reset to `prepared`'s state, constructing
   /// one first when the arena is empty or was last used with a different
   /// prototype (ScenarioMatrix reuses arenas across cells; same prototype
-  /// pointer = reusable). `reused` reports which path was taken. Returns
+  /// pointer = reusable). `reused` reports which path was taken; the
+  /// registry counts acquires, reuses and rebuilds
+  /// (`dice_arena_*_total`). Returns
   /// reset_from's typed error when the reset fails — the arena drops its
   /// (possibly half-seeded) System so the next acquire rebuilds from
   /// scratch.
@@ -44,12 +38,9 @@ class CloneArena {
     prototype_.reset();
   }
 
-  [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
-
  private:
   std::shared_ptr<const core::SystemPrototype> prototype_;
   std::unique_ptr<core::System> system_;
-  Stats stats_;
 };
 
 }  // namespace dice::explore

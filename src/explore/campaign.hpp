@@ -248,15 +248,18 @@ class CampaignOptions::Builder {
 
 /// What a run produced — complete, or well-formed-partial when cancelled.
 /// Extends MatrixResult (cells in canonical order, completed cells'
-/// deduplicated faults, cache/pool stats, cells_completed, stopped) rather
-/// than mirroring it field by field, so the facade can never silently drop
-/// a future MatrixResult field. For every completed cell the fault bytes
-/// are identical to an uncancelled run's at any worker count.
+/// deduplicated faults, solver-cache stats, cells_completed, stopped)
+/// rather than mirroring it field by field, so the facade can never
+/// silently drop a future MatrixResult field. For every completed cell the
+/// fault bytes are identical to an uncancelled run's at any worker count.
 struct CampaignResult : MatrixResult {
   double wall_ms = 0.0;
-  /// This run's metrics traffic: the global registry snapshot at run end,
-  /// delta'd against the snapshot at run start (counters and histogram
-  /// buckets are per-run; gauges are current levels).
+  /// This run's metrics traffic, and the per-run view of the pool, arena
+  /// and live-cache counters (which have no other home): the global
+  /// registry snapshot at run end, delta'd against the snapshot at run
+  /// start (counters and histogram buckets are per-run; gauges are current
+  /// levels). The registry is process-wide, so a concurrent run in the
+  /// same process lands in this delta too.
   obs::MetricsSnapshot telemetry;
 };
 

@@ -50,24 +50,14 @@ LiveStateCache::Lookup LiveStateCache::get_or_compute(const Key& key,
     if (!entry->resolved.load(std::memory_order_relaxed)) {
       entry->state = compute();
       entry->resolved.store(true, std::memory_order_release);
-      const std::lock_guard<std::mutex> lock(mutex_);
-      ++stats_.misses;
       live_cache_metrics().misses.add();
-      if (entry->state == nullptr) {
-        ++stats_.uncacheable;
-        live_cache_metrics().uncacheable.add();
-      }
+      if (entry->state == nullptr) live_cache_metrics().uncacheable.add();
       return Lookup{entry->state, false};
     }
   }
   // Resolved entries are immutable: hits need no latch.
-  const std::lock_guard<std::mutex> lock(mutex_);
-  ++stats_.hits;
   live_cache_metrics().hits.add();
-  if (entry->state == nullptr) {
-    ++stats_.uncacheable;
-    live_cache_metrics().uncacheable.add();
-  }
+  if (entry->state == nullptr) live_cache_metrics().uncacheable.add();
   return Lookup{entry->state, true};
 }
 
@@ -112,7 +102,6 @@ void LiveStateCache::evict_locked(std::size_t max) {
     }
     if (victim == entries_.end()) return;  // everything left is in flight
     entries_.erase(victim);
-    ++stats_.evictions;
     live_cache_metrics().evictions.add();
   }
 }
@@ -125,11 +114,6 @@ void LiveStateCache::clear() {
 std::size_t LiveStateCache::size() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   return entries_.size();
-}
-
-LiveStateCache::Stats LiveStateCache::stats() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return stats_;
 }
 
 }  // namespace dice::explore

@@ -74,13 +74,6 @@ class LiveStateCache {
     }
   };
 
-  struct Stats {
-    std::uint64_t hits = 0;         ///< served from a published state
-    std::uint64_t misses = 0;       ///< this caller ran the compute
-    std::uint64_t uncacheable = 0;  ///< lookups resolved to a null (non-quiescent) key
-    std::uint64_t evictions = 0;    ///< entries dropped by the LRU bound
-  };
-
   using Compute = std::function<std::shared_ptr<const snapshot::PreparedLiveState>()>;
 
   struct Lookup {
@@ -90,7 +83,9 @@ class LiveStateCache {
 
   /// Returns the key's published state, invoking `compute` under the key's
   /// once-latch when it has never resolved. Exactly one caller per key ever
-  /// computes; concurrent same-key callers block until it publishes.
+  /// computes; concurrent same-key callers block until it publishes. The
+  /// registry counts hits, misses (this caller computed), uncacheable
+  /// lookups and LRU evictions (`dice_live_cache_*_total`).
   [[nodiscard]] Lookup get_or_compute(const Key& key, const Compute& compute);
 
   /// The published state, or nullptr when the key never resolved (or was
@@ -115,7 +110,6 @@ class LiveStateCache {
 
   [[nodiscard]] std::size_t size() const;
   [[nodiscard]] std::size_t max_entries() const noexcept { return max_entries_; }
-  [[nodiscard]] Stats stats() const;
 
  private:
   struct Entry {
@@ -144,9 +138,8 @@ class LiveStateCache {
   /// beyond it is an in-flight compute.
   void evict_locked(std::size_t max);
 
-  mutable std::mutex mutex_;  ///< guards the map, stats and LRU clock, never a compute
+  mutable std::mutex mutex_;  ///< guards the map and LRU clock, never a compute
   std::unordered_map<Key, std::shared_ptr<Entry>, KeyHash> entries_;
-  Stats stats_;
   std::size_t max_entries_ = kDefaultMaxEntries;
   mutable std::uint64_t lru_clock_ = 0;  ///< find() bumps recency too
 };

@@ -199,7 +199,6 @@ MatrixResult ScenarioMatrix::run(ExplorePool& pool, const RunControl& control) {
     result.cells[i].seed = cells[i].seed;
     result.cells[i].implementation = options_.implementations[cells[i].impl_pos];
   }
-  const ExplorePool::Stats pool_before = pool.stats();
 
   // Per-cell caches keep every cell's solving history independent of
   // scheduling. Each is pre-seeded with any warm-start UNSAT memo: a seeded
@@ -215,7 +214,6 @@ MatrixResult ScenarioMatrix::run(ExplorePool& pool, const RunControl& control) {
   LiveStateCache private_cache;
   LiveStateCache* live_cache =
       options_.live_cache != nullptr ? options_.live_cache : &private_cache;
-  const LiveStateCache::Stats cache_before = live_cache->stats();
 
   // Streaming reorder buffer + per-cell-salted canonical ledger, extracted
   // into CellMerger so shard::ShardCoordinator runs the IDENTICAL merge
@@ -300,18 +298,18 @@ MatrixResult ScenarioMatrix::run(ExplorePool& pool, const RunControl& control) {
     // Nested parallelism: the cell's episodes submit their clone batches
     // back into THIS pool as child tasks of this worker — idle workers
     // steal them across cell boundaries, so even a single parked cell
-    // keeps the whole worker budget busy. Off: clones run serially on
-    // this worker (the legacy cells-only split, kept as the equivalence
-    // baseline). Either way the fault bytes are identical: strategy streams
-    // and ledger priorities key off canonical indices only.
+    // keeps the whole worker budget busy, and clones land on the arena of
+    // whichever worker runs them (the shared per-scenario prototype lets
+    // every arena's System survive across cells). Off: clones run inline
+    // on the orchestrator's own threadless pool (the legacy cells-only
+    // split, kept as the equivalence baseline). Either way the fault bytes
+    // are identical: strategy streams and ledger priorities key off
+    // canonical indices only.
     dice.shared_pool = options_.nested_parallelism ? &pool : nullptr;
     dice.stop = control.stop;  // polled between clones, never mid-clone
-    // Clones land on the arena of whichever pool worker executes them
-    // (nested) or on this worker's arena (cells-only); the shared
-    // per-scenario prototype lets every arena's System survive across cells.
     core::Orchestrator orchestrator(
         prototypes_[cell.scenario * options_.implementations.size() + cell.impl_pos],
-        dice, &pool.arena(worker));
+        dice);
     {
       obs::Span bootstrap_span(control.trace, "bootstrap",
                                static_cast<std::uint32_t>(worker),
@@ -420,24 +418,6 @@ MatrixResult ScenarioMatrix::run(ExplorePool& pool, const RunControl& control) {
   std::sort(result.unsat_keys.begin(), result.unsat_keys.end());
   result.unsat_keys.erase(std::unique(result.unsat_keys.begin(), result.unsat_keys.end()),
                           result.unsat_keys.end());
-  const LiveStateCache::Stats cache_after = live_cache->stats();
-  result.live_cache.hits = cache_after.hits - cache_before.hits;
-  result.live_cache.misses = cache_after.misses - cache_before.misses;
-  result.live_cache.uncacheable = cache_after.uncacheable - cache_before.uncacheable;
-  result.live_cache.evictions = cache_after.evictions - cache_before.evictions;
-  const ExplorePool::Stats pool_after = pool.stats();
-  result.pool.batches = pool_after.batches - pool_before.batches;
-  result.pool.child_batches = pool_after.child_batches - pool_before.child_batches;
-  result.pool.tasks_run = pool_after.tasks_run - pool_before.tasks_run;
-  result.pool.child_tasks = pool_after.child_tasks - pool_before.child_tasks;
-  result.pool.steals = pool_after.steals - pool_before.steals;
-  result.pool.child_steals = pool_after.child_steals - pool_before.child_steals;
-  result.pool.helped = pool_after.helped - pool_before.helped;
-  result.pool.worker_tasks.assign(pool_after.worker_tasks.size(), 0);
-  for (std::size_t w = 0; w < pool_after.worker_tasks.size(); ++w) {
-    result.pool.worker_tasks[w] =
-        pool_after.worker_tasks[w] - pool_before.worker_tasks[w];
-  }
   return result;
 }
 

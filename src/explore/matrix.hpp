@@ -167,8 +167,6 @@ struct MatrixResult {
   /// persists for warm starts.
   std::vector<std::uint64_t> unsat_keys;
   SolverCache::Stats solver_cache;          ///< aggregate over all cells
-  LiveStateCache::Stats live_cache;         ///< bootstrap-once cache traffic
-  ExplorePool::Stats pool;                  ///< pool stats delta for this run
   std::size_t cells_completed = 0;
   bool stopped = false;  ///< some cell was skipped, interrupted or errored
 };

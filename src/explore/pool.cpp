@@ -105,7 +105,6 @@ ExplorePool::ExplorePool(std::size_t workers) : workers_(std::max<std::size_t>(w
     deques_.push_back(std::make_unique<WorkerDeque>());
   }
   arenas_ = std::vector<CloneArena>(workers_);
-  worker_stats_ = std::vector<WorkerStats>(workers_);
   if (workers_ <= 1) return;  // threadless compatibility path
   threads_.reserve(workers_);
   for (std::size_t i = 0; i < workers_; ++i) {
@@ -182,25 +181,16 @@ bool ExplorePool::pop_group_task(TaskGroup& group, std::size_t worker_id, Task& 
 void ExplorePool::run_task(const Task& task, std::size_t worker_id, bool stolen,
                            bool helped) {
   (*task.group->fn)(task.index, worker_id);
+  // Counted BEFORE the latch credit: a submitter that reads the registry
+  // once run_batch returns sees every task of its batch (the latch mutex
+  // orders these adds before its reads).
   const bool child = task.group->owner != kNoWorker;
-  {
-    // Stats BEFORE the latch credit: once pending hits zero the batch
-    // submitter may return and read stats() expecting every task of the
-    // finished batch to be accounted for (the latch mutex acquire/release
-    // pair orders these relaxed stores before the submitter's reads).
-    WorkerStats& mine = worker_stats_[worker_id];
-    bump(mine.tasks);
-    if (child) bump(mine.child_tasks);
-    if (stolen) bump(mine.steals);
-    if (stolen && child) bump(mine.child_steals);
-    if (helped) bump(mine.helped);
-    PoolMetrics& metrics = pool_metrics();
-    metrics.tasks.add();
-    if (child) metrics.child_tasks.add();
-    if (stolen) metrics.steals.add();
-    if (stolen && child) metrics.child_steals.add();
-    if (helped) metrics.helped.add();
-  }
+  PoolMetrics& metrics = pool_metrics();
+  metrics.tasks.add();
+  if (child) metrics.child_tasks.add();
+  if (stolen) metrics.steals.add();
+  if (stolen && child) metrics.child_steals.add();
+  if (helped) metrics.helped.add();
   // Credit the latch under the group mutex: the waiter can only observe
   // pending == 0 (and destroy the group) after this critical section
   // releases, so the notify below never touches a dead group.
@@ -296,10 +286,8 @@ void ExplorePool::run_batch(std::size_t count,
   if (count == 0) return;
   const std::size_t worker = current_worker();
   if (worker != kNoWorker || (workers_ <= 1 && inline_depth_ > 0)) {
-    child_batches_.fetch_add(1, std::memory_order_relaxed);
     pool_metrics().child_batches.add();
   } else {
-    batches_.fetch_add(1, std::memory_order_relaxed);
     pool_metrics().batches.add();
   }
   if (workers_ <= 1) {
@@ -309,18 +297,12 @@ void ExplorePool::run_batch(std::size_t count,
     const bool nested = inline_depth_ > 1;
     for (std::size_t i = 0; i < count; ++i) fn(i, 0);
     --inline_depth_;
-    // fetch_add, not bump: the threadless pool runs on the CALLER's thread,
-    // and nothing pins successive external batches to one caller.
-    WorkerStats& slot = worker_stats_[0];
-    slot.tasks.fetch_add(count, std::memory_order_relaxed);
     PoolMetrics& metrics = pool_metrics();
     metrics.tasks.add(count);
     if (nested) {
       // Inline children are by definition executed by their submitter —
       // count them as helped so the helped + child_steals == child_tasks
       // conservation law holds on the threadless path too.
-      slot.child_tasks.fetch_add(count, std::memory_order_relaxed);
-      slot.helped.fetch_add(count, std::memory_order_relaxed);
       metrics.child_tasks.add(count);
       metrics.helped.add(count);
     }
@@ -351,24 +333,6 @@ std::size_t ExplorePool::drain() {
     if (--task.group->pending == 0) task.group->done.notify_all();
   }
   return dropped.size();
-}
-
-ExplorePool::Stats ExplorePool::stats() const {
-  Stats merged;
-  merged.batches = batches_.load(std::memory_order_relaxed);
-  merged.child_batches = child_batches_.load(std::memory_order_relaxed);
-  merged.worker_tasks.resize(workers_, 0);
-  for (std::size_t w = 0; w < workers_; ++w) {
-    const WorkerStats& slot = worker_stats_[w];
-    const std::uint64_t tasks = slot.tasks.load(std::memory_order_relaxed);
-    merged.worker_tasks[w] = tasks;
-    merged.tasks_run += tasks;
-    merged.child_tasks += slot.child_tasks.load(std::memory_order_relaxed);
-    merged.steals += slot.steals.load(std::memory_order_relaxed);
-    merged.child_steals += slot.child_steals.load(std::memory_order_relaxed);
-    merged.helped += slot.helped.load(std::memory_order_relaxed);
-  }
-  return merged;
 }
 
 }  // namespace dice::explore

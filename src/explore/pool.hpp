@@ -151,32 +151,8 @@ class ExplorePool {
 
   /// The worker's private clone arena. Only the worker executing a task may
   /// touch its own arena during run_batch; between batches the caller may
-  /// inspect stats or clear them.
+  /// clear it.
   [[nodiscard]] CloneArena& arena(std::size_t worker) noexcept { return arenas_[worker]; }
-
-  struct Stats {
-    std::uint64_t batches = 0;        ///< external (top-level) batches
-    std::uint64_t child_batches = 0;  ///< nested submissions from inside workers
-    std::uint64_t tasks_run = 0;
-    std::uint64_t child_tasks = 0;  ///< tasks belonging to child groups
-    std::uint64_t steals = 0;       ///< tasks executed by a non-owning worker
-    std::uint64_t child_steals = 0; ///< the subset of steals that took child tasks
-    /// Child tasks the submitting worker executed itself while waiting on
-    /// its group latch. Conservation law: helped + child_steals ==
-    /// child_tasks — a child leaves the queue exactly one of those two ways
-    /// (or is drained and never runs).
-    std::uint64_t helped = 0;
-    /// Tasks executed per worker — the occupancy receipt: a 1-cell nested
-    /// campaign on W workers should show more than one nonzero slot.
-    std::vector<std::uint64_t> worker_tasks;
-    /// Workers with at least one task executed (derived convenience).
-    [[nodiscard]] std::size_t occupied_workers() const noexcept {
-      std::size_t n = 0;
-      for (const std::uint64_t tasks : worker_tasks) n += tasks != 0 ? 1 : 0;
-      return n;
-    }
-  };
-  [[nodiscard]] Stats stats() const;
 
  private:
   /// One submitted batch: the shared fn, the submitting worker (kNoWorker
@@ -216,13 +192,9 @@ class ExplorePool {
   /// (front-to-back). Children never migrate between deques — stealing
   /// executes immediately — so the owner's deque is the only place to look.
   [[nodiscard]] bool pop_group_task(TaskGroup& group, std::size_t worker_id, Task& task);
-  /// Executes fn, credits the group latch, updates stats.
+  /// Executes fn, counts the task in the metrics registry, credits the
+  /// group latch.
   void run_task(const Task& task, std::size_t worker_id, bool stolen, bool helped);
-  /// Single-writer relaxed bump on a worker-owned stat slot (plain add in
-  /// codegen; atomic storage only so stats() may read concurrently).
-  static void bump(std::atomic<std::uint64_t>& cell, std::uint64_t n = 1) noexcept {
-    cell.store(cell.load(std::memory_order_relaxed) + n, std::memory_order_relaxed);
-  }
   /// Publishes `count` new queued tasks to sleeping workers.
   void announce_work();
 
@@ -236,24 +208,6 @@ class ExplorePool {
   std::atomic<std::size_t> queued_{0};  ///< tasks sitting in deques (not in flight)
   bool shutdown_ = false;
   std::size_t inline_depth_ = 0;  ///< threadless-path nesting (single-threaded)
-
-  /// Per-worker stat slots, each written ONLY by the worker that owns it
-  /// (single-writer relaxed — see bump()), merged by stats(). Visibility to
-  /// a batch submitter is given by the group-latch mutex: run_task bumps
-  /// BEFORE crediting the latch, and the submitter reads stats() only after
-  /// acquiring the latch mutex saw pending == 0.
-  struct alignas(64) WorkerStats {
-    std::atomic<std::uint64_t> tasks{0};
-    std::atomic<std::uint64_t> child_tasks{0};
-    std::atomic<std::uint64_t> steals{0};
-    std::atomic<std::uint64_t> child_steals{0};
-    std::atomic<std::uint64_t> helped{0};
-  };
-  std::vector<WorkerStats> worker_stats_;  ///< one per worker
-  /// Batch counters are cold (once per run_batch) and may race between an
-  /// external submitter and workers submitting children: fetch_add.
-  std::atomic<std::uint64_t> batches_{0};
-  std::atomic<std::uint64_t> child_batches_{0};
 };
 
 }  // namespace dice::explore

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "explore/campaign.hpp"
+#include "obs/names.hpp"
 #include "util/hash.hpp"
 
 namespace dice::explore {
@@ -411,12 +412,15 @@ TEST(CampaignSoakTest, OwnedLiveCacheServesRepeatRuns) {
   const CampaignResult first = campaign.run();
   ASSERT_EQ(first.cells.size(), 1u);
   EXPECT_FALSE(first.cells[0].bootstrap_from_cache);
-  EXPECT_EQ(first.live_cache.misses, 1u);
 
   const CampaignResult second = campaign.run();
   EXPECT_TRUE(second.cells[0].bootstrap_from_cache);
-  EXPECT_EQ(second.live_cache.hits, 1u);
-  EXPECT_EQ(second.live_cache.misses, 0u);
+  if (obs::kEnabled) {
+    // Each run's live-cache traffic, from its registry delta.
+    EXPECT_EQ(first.telemetry.counter_value(obs::names::kLiveCacheMisses), 1u);
+    EXPECT_EQ(second.telemetry.counter_value(obs::names::kLiveCacheHits), 1u);
+    EXPECT_EQ(second.telemetry.counter_value(obs::names::kLiveCacheMisses), 0u);
+  }
   EXPECT_EQ(fault_lines(second.faults), fault_lines(first.faults));
 
   // The owned cache is reachable for soak-loop maintenance.

@@ -7,6 +7,8 @@
 
 #include "dice/orchestrator.hpp"
 #include "explore/matrix.hpp"
+#include "metrics_delta.hpp"
+#include "obs/names.hpp"
 
 namespace dice::explore {
 namespace {
@@ -77,15 +79,17 @@ TEST(ParallelDiceTest, FaultSetIsByteIdenticalFor1And2And8Workers) {
 }
 
 TEST(ParallelDiceTest, ParallelEpisodeUsesThePool) {
+  DICE_METRICS_REQUIRED();
   bgp::SystemBlueprint blueprint = bgp::make_internet({2, 3, 4});
   Orchestrator dice(std::move(blueprint), fast_options(4));
-  ASSERT_NE(dice.pool(), nullptr);
-  EXPECT_EQ(dice.pool()->workers(), 4u);
+  EXPECT_EQ(dice.pool().workers(), 4u);
   ASSERT_TRUE(dice.bootstrap());
   GrammarStrategy strategy;
+  const testutil::CounterDelta delta;
   const EpisodeResult episode = dice.run_episode(strategy);
   EXPECT_GT(episode.clones_run, 0u);
-  EXPECT_EQ(dice.pool()->stats().tasks_run, 13u);  // baseline + 12 inputs
+  EXPECT_EQ(delta(obs::names::kPoolBatches), 1u);
+  EXPECT_EQ(delta(obs::names::kPoolTasks), 13u);  // baseline + 12 inputs
 }
 
 TEST(ParallelDiceTest, CloneTasksRunOnWorkerArenasEndToEnd) {
@@ -132,9 +136,9 @@ TEST(ParallelDiceTest, CloneTasksRunOnWorkerArenasEndToEnd) {
   }
 }
 
-TEST(ParallelDiceTest, SerialOrchestratorHasNoPool) {
+TEST(ParallelDiceTest, SerialOrchestratorPoolIsThreadless) {
   Orchestrator dice(bgp::make_line(2), fast_options(1));
-  EXPECT_EQ(dice.pool(), nullptr);
+  EXPECT_EQ(dice.pool().workers(), 1u);
 }
 
 TEST(ParallelDiceTest, LiveSystemUnchangedByParallelExploration) {
@@ -181,6 +185,7 @@ TEST(ScenarioMatrixTest, RunsTheFullCrossProduct) {
   ScenarioMatrix matrix(small_scenarios(), small_matrix_options());
   EXPECT_EQ(matrix.cell_count(), 8u);  // 2 scenarios x 2 strategies x 2 seeds
   ExplorePool pool(2);
+  const testutil::CounterDelta delta;
   const MatrixResult result = matrix.run(pool, {});
   ASSERT_EQ(result.cells.size(), 8u);
   for (const CellResult& cell : result.cells) {
@@ -190,12 +195,14 @@ TEST(ScenarioMatrixTest, RunsTheFullCrossProduct) {
   }
   // Nested parallelism (the default): the pool ran the 8 cell tasks PLUS
   // every episode's clone batch as child tasks of its cell.
-  std::size_t clones_total = 0;
-  for (const CellResult& cell : result.cells) clones_total += cell.clones_run;
-  EXPECT_EQ(result.pool.tasks_run, 8u + clones_total);
-  EXPECT_EQ(result.pool.child_tasks, clones_total);
-  EXPECT_EQ(result.pool.batches, 1u);
-  EXPECT_EQ(result.pool.child_batches, 8u) << "one episode batch per cell";
+  if (obs::kEnabled) {
+    std::size_t clones_total = 0;
+    for (const CellResult& cell : result.cells) clones_total += cell.clones_run;
+    EXPECT_EQ(delta(obs::names::kPoolTasks), 8u + clones_total);
+    EXPECT_EQ(delta(obs::names::kPoolChildTasks), clones_total);
+    EXPECT_EQ(delta(obs::names::kPoolBatches), 1u);
+    EXPECT_EQ(delta(obs::names::kPoolChildBatches), 8u) << "one episode batch per cell";
+  }
   // The hijack scenario must surface its standing operator mistake in
   // every strategy/seed cell.
   bool hijack_found = false;

@@ -10,6 +10,8 @@
 
 #include "dice/orchestrator.hpp"
 #include "explore/matrix.hpp"
+#include "metrics_delta.hpp"
+#include "obs/names.hpp"
 #include "util/hash.hpp"
 #include "util/strings.hpp"
 
@@ -186,6 +188,7 @@ TEST(PreparedTelemetryTest, EpisodeReportsPreparedPathCounters) {
 TEST(PreparedTelemetryTest, MatrixReusesArenasAcrossCells) {
   // Two cells of the same scenario on one worker share the prototype, so
   // the second cell's clones land on the first cell's arena System.
+  DICE_METRICS_REQUIRED();
   std::vector<ScenarioSpec> scenarios;
   scenarios.push_back({"line3", bgp::make_line(3)});
   MatrixOptions options;
@@ -197,12 +200,13 @@ TEST(PreparedTelemetryTest, MatrixReusesArenasAcrossCells) {
   options.dice.clone_event_budget = 60'000;
   ScenarioMatrix matrix(std::move(scenarios), options);
   ExplorePool pool(1);
+  const testutil::CounterDelta delta;
   const MatrixResult result = matrix.run(pool, {});
   ASSERT_EQ(result.cells.size(), 2u);
-  const CloneArena::Stats arena_stats = pool.arena(0).stats();
-  EXPECT_EQ(arena_stats.rebuilds, 1u)
+  EXPECT_EQ(delta(obs::names::kArenaRebuilds), 1u)
       << "one System construction should serve both cells";
-  EXPECT_EQ(arena_stats.acquires, arena_stats.reuses + arena_stats.rebuilds);
+  EXPECT_EQ(delta(obs::names::kArenaAcquires),
+            delta(obs::names::kArenaReuses) + delta(obs::names::kArenaRebuilds));
 }
 
 }  // namespace

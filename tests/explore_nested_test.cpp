@@ -17,6 +17,8 @@
 
 #include "dice/orchestrator.hpp"
 #include "explore/campaign.hpp"
+#include "metrics_delta.hpp"
+#include "obs/names.hpp"
 #include "svc/soak_service.hpp"
 
 namespace dice::explore {
@@ -119,7 +121,9 @@ TEST(NestedOccupancyTest, SingleCellCampaignFeedsTheWholePool) {
   // do — the cells-only schedule wastes them by construction. With the
   // global budget the cell's episode batches become child tasks, and every
   // child is accounted for as either helped (run by the cell's own worker
-  // while it waits on the group latch) or stolen by an idle peer.
+  // while it waits on the group latch) or stolen by an idle peer. The
+  // counts are the run's registry delta (CampaignResult::telemetry).
+  DICE_METRICS_REQUIRED();
   std::vector<ScenarioSpec> scenarios;
   bgp::SystemBlueprint hijack = bgp::make_internet({2, 3, 4});
   bgp::inject_hijack(hijack, /*victim=*/5, /*attacker=*/8);
@@ -135,15 +139,16 @@ TEST(NestedOccupancyTest, SingleCellCampaignFeedsTheWholePool) {
   ASSERT_TRUE(result.cells[0].completed);
   ASSERT_GT(result.cells[0].clones_run, 0u);
 
-  EXPECT_EQ(result.pool.batches, 1u);
-  EXPECT_EQ(result.pool.child_batches, 1u) << "one episode batch";
-  EXPECT_EQ(result.pool.child_tasks, result.cells[0].clones_run);
-  EXPECT_EQ(result.pool.tasks_run, 1u + result.cells[0].clones_run);
+  const obs::MetricsSnapshot& pool = result.telemetry;
+  EXPECT_EQ(pool.counter_value(obs::names::kPoolBatches), 1u);
+  EXPECT_EQ(pool.counter_value(obs::names::kPoolChildBatches), 1u) << "one episode batch";
+  const std::uint64_t child_tasks = pool.counter_value(obs::names::kPoolChildTasks);
+  EXPECT_EQ(child_tasks, result.cells[0].clones_run);
+  EXPECT_EQ(pool.counter_value(obs::names::kPoolTasks), 1u + result.cells[0].clones_run);
   // Conservation law: a child task leaves the queue exactly two ways.
-  EXPECT_EQ(result.pool.helped + result.pool.child_steals, result.pool.child_tasks);
-  std::uint64_t per_worker_total = 0;
-  for (const std::uint64_t tasks : result.pool.worker_tasks) per_worker_total += tasks;
-  EXPECT_EQ(per_worker_total, result.pool.tasks_run);
+  EXPECT_EQ(pool.counter_value(obs::names::kPoolHelped) +
+                pool.counter_value(obs::names::kPoolChildSteals),
+            child_tasks);
 }
 
 TEST(NestedCancellationTest, StopUnderNestingKeepsCompletedCellsByteIdentical) {
@@ -214,6 +219,7 @@ TEST(NestedCancellationTest, StopUnderNestingKeepsCompletedCellsByteIdentical) {
 TEST(HierarchicalPoolTest, WorkersCanSubmitChildBatchesReentrantly) {
   for (const std::size_t workers : {1u, 3u}) {
     ExplorePool pool(workers);
+    const testutil::CounterDelta delta;
     constexpr std::size_t kParents = 4;
     constexpr std::size_t kChildren = 8;
     std::vector<std::atomic<int>> child_runs(kParents * kChildren);
@@ -231,11 +237,12 @@ TEST(HierarchicalPoolTest, WorkersCanSubmitChildBatchesReentrantly) {
       EXPECT_EQ(child_runs[i].load(), 1)
           << "workers=" << workers << " child slot " << i;
     }
-    const ExplorePool::Stats stats = pool.stats();
-    EXPECT_EQ(stats.batches, 1u);
-    EXPECT_EQ(stats.child_batches, kParents);
-    EXPECT_EQ(stats.tasks_run, kParents + kParents * kChildren);
-    EXPECT_EQ(stats.child_tasks, kParents * kChildren);
+    if (obs::kEnabled) {
+      EXPECT_EQ(delta(obs::names::kPoolBatches), 1u);
+      EXPECT_EQ(delta(obs::names::kPoolChildBatches), kParents);
+      EXPECT_EQ(delta(obs::names::kPoolTasks), kParents + kParents * kChildren);
+      EXPECT_EQ(delta(obs::names::kPoolChildTasks), kParents * kChildren);
+    }
   }
 }
 

@@ -16,6 +16,7 @@
 #include "explore/ledger.hpp"
 #include "explore/pool.hpp"
 #include "explore/solver_cache.hpp"
+#include "metrics_delta.hpp"
 #include "obs/metrics.hpp"
 #include "obs/names.hpp"
 #include "util/rng.hpp"
@@ -62,6 +63,7 @@ TEST(RngForkTest, DifferentRootsGiveDifferentStreams) {
 
 TEST(ExplorePoolTest, SingleWorkerRunsInlineWithoutThreads) {
   ExplorePool pool(1);
+  const testutil::CounterDelta delta;
   const std::thread::id caller = std::this_thread::get_id();
   std::vector<int> hits(8, 0);
   pool.run_batch(8, [&](std::size_t task, std::size_t worker) {
@@ -70,17 +72,22 @@ TEST(ExplorePoolTest, SingleWorkerRunsInlineWithoutThreads) {
     ++hits[task];
   });
   for (int h : hits) EXPECT_EQ(h, 1);
-  EXPECT_EQ(pool.stats().tasks_run, 8u);
-  EXPECT_EQ(pool.stats().steals, 0u);
+  if (obs::kEnabled) {
+    EXPECT_EQ(delta(obs::names::kPoolTasks), 8u);
+    EXPECT_EQ(delta(obs::names::kPoolSteals), 0u);
+  }
 }
 
 TEST(ExplorePoolTest, EveryTaskRunsExactlyOnceAcrossWorkers) {
   ExplorePool pool(4);
+  const testutil::CounterDelta delta;
   constexpr std::size_t kTasks = 64;
   std::vector<std::atomic<int>> hits(kTasks);
   pool.run_batch(kTasks, [&](std::size_t task, std::size_t) { ++hits[task]; });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-  EXPECT_EQ(pool.stats().tasks_run, kTasks);
+  if (obs::kEnabled) {
+    EXPECT_EQ(delta(obs::names::kPoolTasks), kTasks);
+  }
 }
 
 TEST(ExplorePoolTest, WorkStealingUnderSkewedTaskCosts) {
@@ -88,28 +95,37 @@ TEST(ExplorePoolTest, WorkStealingUnderSkewedTaskCosts) {
   // deque) is heavy, every odd task trivial — worker 1 drains instantly
   // and must steal from worker 0's backlog to finish the batch.
   ExplorePool pool(2);
+  const testutil::CounterDelta delta;
   constexpr std::size_t kTasks = 12;
   std::vector<std::atomic<int>> hits(kTasks);
-  pool.run_batch(kTasks, [&](std::size_t task, std::size_t) {
+  std::atomic<std::size_t> stolen{0};  // tasks run off the worker they were dealt to
+  pool.run_batch(kTasks, [&](std::size_t task, std::size_t worker) {
     if (task % 2 == 0) {
       std::this_thread::sleep_for(std::chrono::milliseconds(20));
     }
+    if (worker != task % 2) ++stolen;
     ++hits[task];
   });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-  EXPECT_GE(pool.stats().steals, 1u);
-  EXPECT_EQ(pool.stats().tasks_run, kTasks);
+  EXPECT_GE(stolen.load(), 1u);
+  if (obs::kEnabled) {
+    EXPECT_EQ(delta(obs::names::kPoolSteals), stolen.load());
+    EXPECT_EQ(delta(obs::names::kPoolTasks), kTasks);
+  }
 }
 
 TEST(ExplorePoolTest, BackToBackBatchesDoNotLeakWork) {
   ExplorePool pool(3);
+  const testutil::CounterDelta delta;
   for (int round = 0; round < 20; ++round) {
     std::atomic<int> count{0};
     pool.run_batch(7, [&](std::size_t, std::size_t) { ++count; });
     ASSERT_EQ(count.load(), 7);
   }
-  EXPECT_EQ(pool.stats().tasks_run, 140u);
-  EXPECT_EQ(pool.stats().batches, 20u);
+  if (obs::kEnabled) {
+    EXPECT_EQ(delta(obs::names::kPoolTasks), 140u);
+    EXPECT_EQ(delta(obs::names::kPoolBatches), 20u);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -147,9 +147,6 @@ TEST(PreparedSnapshotTest, ArenaReuseIsIndistinguishableFromFreshClone) {
         << "arena reuse leaked state at node " << i;
     EXPECT_EQ(second->router(node).stats().handler_crashes, 0u);
   }
-  EXPECT_EQ(arena.stats().acquires, 2u);
-  EXPECT_EQ(arena.stats().reuses, 1u);
-  EXPECT_EQ(arena.stats().rebuilds, 1u);
 }
 
 TEST(PreparedSnapshotTest, ArenaRebuildsWhenPrototypeChanges) {
@@ -174,7 +171,6 @@ TEST(PreparedSnapshotTest, ArenaRebuildsWhenPrototypeChanges) {
   ASSERT_NE(b, nullptr);
   EXPECT_FALSE(reused);  // different prototype => rebuild
   EXPECT_EQ(b->size(), 3u);
-  EXPECT_EQ(arena.stats().rebuilds, 2u);
 }
 
 TEST(PreparedSnapshotTest, SharedPtrKeepsPreparedAliveAcrossTrim) {
