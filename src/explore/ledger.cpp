@@ -4,20 +4,12 @@
 
 namespace dice::explore {
 
-FaultLedger::FaultLedger(std::size_t shards) {
-  shards_.reserve(std::max<std::size_t>(shards, 1));
-  for (std::size_t i = 0; i < std::max<std::size_t>(shards, 1); ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
-}
-
 template <typename Report>
 bool FaultLedger::insert(std::uint64_t key, std::uint64_t priority, Report&& report) {
-  Shard& shard = shard_for(key);
-  const std::lock_guard<std::mutex> lock(shard.mutex);
-  auto it = shard.entries.find(key);
-  if (it == shard.entries.end()) {
-    shard.entries.emplace(key, Entry{std::forward<Report>(report), priority});
+  const std::lock_guard<std::mutex> lock(mutex_);
+  auto it = entries_.find(key);
+  if (it == entries_.end()) {
+    entries_.emplace(key, Entry{std::forward<Report>(report), priority});
     return true;
   }
   if (priority < it->second.priority) {
@@ -56,25 +48,21 @@ std::size_t FaultLedger::record_all(const std::vector<core::FaultReport>& report
 
 bool FaultLedger::contains(std::uint64_t fault_key, std::uint64_t key_salt) const {
   const std::uint64_t key = salted_fault_key(fault_key, key_salt);
-  const Shard& shard = shard_for(key);
-  const std::lock_guard<std::mutex> lock(shard.mutex);
-  return shard.entries.contains(key);
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return entries_.contains(key);
 }
 
 std::size_t FaultLedger::size() const {
-  std::size_t total = 0;
-  for (const auto& shard : shards_) {
-    const std::lock_guard<std::mutex> lock(shard->mutex);
-    total += shard->entries.size();
-  }
-  return total;
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return entries_.size();
 }
 
 std::vector<core::FaultReport> FaultLedger::snapshot_sorted() const {
   std::vector<Entry> entries;
-  for (const auto& shard : shards_) {
-    const std::lock_guard<std::mutex> lock(shard->mutex);
-    for (const auto& [key, entry] : shard->entries) entries.push_back(entry);
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    entries.reserve(entries_.size());
+    for (const auto& [key, entry] : entries_) entries.push_back(entry);
   }
   std::sort(entries.begin(), entries.end(),
             [](const Entry& a, const Entry& b) { return a.priority < b.priority; });
@@ -85,10 +73,8 @@ std::vector<core::FaultReport> FaultLedger::snapshot_sorted() const {
 }
 
 void FaultLedger::clear() {
-  for (const auto& shard : shards_) {
-    const std::lock_guard<std::mutex> lock(shard->mutex);
-    shard->entries.clear();
-  }
+  const std::lock_guard<std::mutex> lock(mutex_);
+  entries_.clear();
 }
 
 }  // namespace dice::explore

@@ -2,8 +2,9 @@
 //
 // Every worker pushes the raw FaultReports of its clone run; the ledger
 // collapses them by fault signature (core::fault_key — class+check+node+
-// description) behind a lock-striped hash map, so N workers reporting the
-// same standing fault produce one entry.
+// description) in one mutex-guarded hash map, so N workers reporting the
+// same standing fault produce one entry. A clone reports a handful of
+// faults at most, so one lock is not a point of contention.
 //
 // Determinism: each record carries a priority — the serial encounter order
 // (task index, fault index within the task). When two reports share a key,
@@ -14,7 +15,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <unordered_map>
 #include <vector>
@@ -37,8 +37,6 @@ namespace dice::explore {
 
 class FaultLedger {
  public:
-  explicit FaultLedger(std::size_t shards = 16);
-
   /// Records one report under its fault_key. Returns true when the key was
   /// new; on a duplicate key the entry with the lower priority is kept.
   /// `key_salt` partitions the dedup space (ScenarioMatrix salts by cell:
@@ -70,14 +68,6 @@ class FaultLedger {
     core::FaultReport report;
     std::uint64_t priority = 0;
   };
-  struct Shard {
-    mutable std::mutex mutex;
-    std::unordered_map<std::uint64_t, Entry> entries;
-  };
-
-  [[nodiscard]] Shard& shard_for(std::uint64_t key) const {
-    return *shards_[key % shards_.size()];
-  }
 
   /// The one dedup-insert invariant both record paths share: emplace when
   /// the key is absent, replace when strictly lower priority. `Report` is
@@ -86,7 +76,8 @@ class FaultLedger {
   template <typename Report>
   bool insert(std::uint64_t key, std::uint64_t priority, Report&& report);
 
-  std::vector<std::unique_ptr<Shard>> shards_;
+  mutable std::mutex mutex_;
+  std::unordered_map<std::uint64_t, Entry> entries_;  ///< guarded by mutex_
 };
 
 }  // namespace dice::explore
