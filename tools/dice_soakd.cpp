@@ -29,6 +29,11 @@
 //   report               cumulative report JSON path (dice_soak_report.json)
 //   metrics              Prometheus text path (dice_soak_metrics.prom)
 //   warm_start           true|false: load the store at boot (true)
+//
+// Numbers are unsigned decimals in range for their key; warm_start takes
+// true, false, 1 or 0. Any other value exits 1 naming its line, before
+// anything is built.
+#include <charconv>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -59,7 +64,7 @@ extern "C" void handle_signal(int) {
 struct Config {
   std::vector<std::string> scenario_names;
   std::string strategies = "grammar";
-  std::string seeds = "1";
+  std::vector<std::uint64_t> seeds{1};
   std::size_t workers = 2;
   std::size_t episodes_per_cell = 2;
   std::size_t inputs_per_episode = 32;
@@ -91,6 +96,39 @@ struct Config {
   return out;
 }
 
+/// Parses the whole of `text` as an unsigned decimal in range for T: digits
+/// only, no sign, nothing after them.
+template <typename T>
+[[nodiscard]] bool parse_decimal(const std::string& text, T& out) {
+  if (text.empty() || text[0] < '0' || text[0] > '9') return false;
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [next, error] = std::from_chars(text.data(), end, value);
+  if (error != std::errc() || next != end) return false;
+  out = value;
+  return true;
+}
+
+[[nodiscard]] bool parse_seeds(const std::string& text, std::vector<std::uint64_t>& out) {
+  std::vector<std::uint64_t> seeds;
+  for (const std::string& item : split_commas(text)) {
+    if (!parse_decimal(item, seeds.emplace_back())) return false;
+  }
+  out = std::move(seeds);
+  return true;
+}
+
+[[nodiscard]] bool parse_bool(const std::string& text, bool& out) {
+  if (text == "true" || text == "1") {
+    out = true;
+  } else if (text == "false" || text == "0") {
+    out = false;
+  } else {
+    return false;
+  }
+  return true;
+}
+
 [[nodiscard]] bool parse_config(const std::string& path, Config& config) {
   std::ifstream in(path);
   if (!in) {
@@ -113,23 +151,29 @@ struct Config {
     }
     const std::string key = trim(line.substr(0, eq));
     const std::string value = trim(line.substr(eq + 1));
+    bool valid = true;
     if (key == "scenario") config.scenario_names.push_back(value);
     else if (key == "strategies") config.strategies = value;
-    else if (key == "seeds") config.seeds = value;
-    else if (key == "workers") config.workers = std::strtoull(value.c_str(), nullptr, 10);
-    else if (key == "episodes_per_cell") config.episodes_per_cell = std::strtoull(value.c_str(), nullptr, 10);
-    else if (key == "inputs_per_episode") config.inputs_per_episode = std::strtoull(value.c_str(), nullptr, 10);
-    else if (key == "bootstrap_events") config.bootstrap_events = std::strtoull(value.c_str(), nullptr, 10);
-    else if (key == "max_rounds") config.max_rounds = std::strtoull(value.c_str(), nullptr, 10);
-    else if (key == "round_interval_ms") config.round_interval_ms = std::strtol(value.c_str(), nullptr, 10);
-    else if (key == "persist_every_rounds") config.persist_every_rounds = std::strtoull(value.c_str(), nullptr, 10);
+    else if (key == "seeds") valid = parse_seeds(value, config.seeds);
+    else if (key == "workers") valid = parse_decimal(value, config.workers);
+    else if (key == "episodes_per_cell") valid = parse_decimal(value, config.episodes_per_cell);
+    else if (key == "inputs_per_episode") valid = parse_decimal(value, config.inputs_per_episode);
+    else if (key == "bootstrap_events") valid = parse_decimal(value, config.bootstrap_events);
+    else if (key == "max_rounds") valid = parse_decimal(value, config.max_rounds);
+    else if (key == "round_interval_ms") valid = parse_decimal(value, config.round_interval_ms);
+    else if (key == "persist_every_rounds") valid = parse_decimal(value, config.persist_every_rounds);
     else if (key == "store") config.store = value;
     else if (key == "report") config.report = value;
     else if (key == "metrics") config.metrics = value;
-    else if (key == "warm_start") config.warm_start = value == "true" || value == "1";
+    else if (key == "warm_start") valid = parse_bool(value, config.warm_start);
     else {
       std::fprintf(stderr, "dice_soakd: %s:%zu: unknown key '%s'\n", path.c_str(),
                    line_no, key.c_str());
+      return false;
+    }
+    if (!valid) {
+      std::fprintf(stderr, "dice_soakd: %s:%zu: bad value '%s' for %s\n", path.c_str(),
+                   line_no, value.c_str(), key.c_str());
       return false;
     }
   }
@@ -205,15 +249,10 @@ int main(int argc, char** argv) {
   if (!make_scenarios(config, specs) || !make_strategies(config, kinds)) {
     return EXIT_FAILURE;
   }
-  std::vector<std::uint64_t> seeds;
-  for (const std::string& seed : split_commas(config.seeds)) {
-    seeds.push_back(std::strtoull(seed.c_str(), nullptr, 10));
-  }
-
   svc::SoakOptions options;
   auto built = explore::CampaignOptions::builder()
                    .strategies(kinds)
-                   .seeds(std::move(seeds))
+                   .seeds(config.seeds)
                    .episodes_per_cell(config.episodes_per_cell)
                    .inputs_per_episode(config.inputs_per_episode)
                    .bootstrap_events(config.bootstrap_events)
