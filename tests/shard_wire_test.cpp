@@ -7,8 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <string>
 #include <variant>
 
+#include "body_mutants.hpp"
 #include "shard/scenario_set.hpp"
 #include "shard/wire.hpp"
 #include "util/envelope.hpp"
@@ -241,35 +243,33 @@ TEST(ShardWire, ResealedBodyMutantsDecodeOrFailTyped) {
                                 "shard.wire.magic", "shard.wire.version",
                                 "shard.wire.checksum"};
   constexpr std::size_t kHeader = sizeof(kMagic) + 1 + 8;  // magic | version | checksum
-  constexpr std::uint8_t kFlips[] = {0x01, 0x40, 0x7f, 0x80, 0xff};
   std::size_t mutants = 0;
   std::size_t decoded = 0;
   std::size_t body_bytes = 0;
+  std::size_t varint_mutants = 0;
   for (const util::Bytes& bytes : every_message_kind()) {
     ASSERT_GT(bytes.size(), kHeader);
     const util::Bytes body(bytes.begin() + kHeader, bytes.end());
     ASSERT_EQ(envelope.seal(body), bytes) << "resealing an untouched body must be exact";
     body_bytes += body.size();
-    for (std::size_t i = 0; i < body.size(); ++i) {
-      for (const std::uint8_t flip : kFlips) {
-        util::Bytes mutated = body;
-        mutated[i] ^= flip;
-        const util::Bytes mutant = envelope.seal(mutated);
-        ++mutants;
-        std::optional<util::Result<Message>> result;
-        EXPECT_NO_THROW(result.emplace(decode_message(mutant)))
-            << "body byte " << i << " ^ " << static_cast<unsigned>(flip);
-        if (!result.has_value()) continue;
-        if (result->ok()) {
-          ++decoded;
-        } else {
-          EXPECT_FALSE(result->error().code.empty())
-              << "untyped error at body byte " << i << " ^ " << static_cast<unsigned>(flip);
-        }
-      }
-    }
+    const testutil::MutantCounts counts = testutil::for_each_body_mutant(
+        body, [&](const util::Bytes& mutated, const std::string& what) {
+          const util::Bytes mutant = envelope.seal(mutated);
+          ++mutants;
+          std::optional<util::Result<Message>> result;
+          EXPECT_NO_THROW(result.emplace(decode_message(mutant))) << what;
+          if (!result.has_value()) return;
+          if (result->ok()) {
+            ++decoded;
+          } else {
+            EXPECT_FALSE(result->error().code.empty()) << "untyped error at " << what;
+          }
+        });
+    EXPECT_EQ(counts.flips, body.size() * std::size(testutil::kByteFlips));
+    varint_mutants += counts.varints;
   }
-  EXPECT_EQ(mutants, body_bytes * std::size(kFlips));
+  EXPECT_GT(varint_mutants, 0u);
+  EXPECT_EQ(mutants, body_bytes * std::size(testutil::kByteFlips) + varint_mutants);
   // Both outcomes occur: some fields accept any value, others reject.
   EXPECT_GT(decoded, 0u);
   EXPECT_LT(decoded, mutants);

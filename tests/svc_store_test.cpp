@@ -9,7 +9,9 @@
 #include <cstdio>
 #include <fstream>
 #include <optional>
+#include <string>
 
+#include "body_mutants.hpp"
 #include "svc/artifact_store.hpp"
 #include "util/envelope.hpp"
 #include "util/hash.hpp"
@@ -163,7 +165,6 @@ TEST(ArtifactStoreTest, ResealedBodyMutantsDecodeOrFailTyped) {
       ArtifactStore::kVersion, "svc.store.bad_magic", "svc.store.bad_version",
       "svc.store.checksum_mismatch"};
   constexpr std::size_t kHeader = sizeof(ArtifactStore::kMagic) + 1 + 8;
-  constexpr std::uint8_t kFlips[] = {0x01, 0x40, 0x7f, 0x80, 0xff};
   auto encoded = ArtifactStore::encode(make_contents());
   ASSERT_TRUE(encoded.ok());
   ASSERT_GT(encoded.value().size(), kHeader);
@@ -172,25 +173,22 @@ TEST(ArtifactStoreTest, ResealedBodyMutantsDecodeOrFailTyped) {
       << "resealing an untouched body must be exact";
   std::size_t mutants = 0;
   std::size_t decoded = 0;
-  for (std::size_t i = 0; i < body.size(); ++i) {
-    for (const std::uint8_t flip : kFlips) {
-      util::Bytes mutated = body;
-      mutated[i] ^= flip;
-      const util::Bytes mutant = envelope.seal(mutated);
-      ++mutants;
-      std::optional<util::Result<StoreContents>> result;
-      EXPECT_NO_THROW(result.emplace(ArtifactStore::decode(mutant)))
-          << "body byte " << i << " ^ " << static_cast<unsigned>(flip);
-      if (!result.has_value()) continue;
-      if (result->ok()) {
-        ++decoded;
-      } else {
-        EXPECT_FALSE(result->error().code.empty())
-            << "untyped error at body byte " << i << " ^ " << static_cast<unsigned>(flip);
-      }
-    }
-  }
-  EXPECT_EQ(mutants, body.size() * std::size(kFlips));
+  const testutil::MutantCounts counts = testutil::for_each_body_mutant(
+      body, [&](const util::Bytes& mutated, const std::string& what) {
+        const util::Bytes mutant = envelope.seal(mutated);
+        ++mutants;
+        std::optional<util::Result<StoreContents>> result;
+        EXPECT_NO_THROW(result.emplace(ArtifactStore::decode(mutant))) << what;
+        if (!result.has_value()) return;
+        if (result->ok()) {
+          ++decoded;
+        } else {
+          EXPECT_FALSE(result->error().code.empty()) << "untyped error at " << what;
+        }
+      });
+  EXPECT_EQ(counts.flips, body.size() * std::size(testutil::kByteFlips));
+  EXPECT_GT(counts.varints, 0u);
+  EXPECT_EQ(mutants, counts.flips + counts.varints);
   // Both outcomes occur: some fields accept any value, others reject.
   EXPECT_GT(decoded, 0u);
   EXPECT_LT(decoded, mutants);
