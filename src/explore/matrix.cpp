@@ -292,7 +292,7 @@ MatrixResult ScenarioMatrix::run(ExplorePool& pool, const RunControl& control) {
 
     const auto start = Clock::now();
     core::DiceOptions dice = options_.dice;
-    dice.parallelism = 1;  // never a private pool per cell
+    dice.parallelism = 1;  // nesting off: the cell's own pool is threadless
     dice.trace = control.trace;
     dice.trace_cell = static_cast<std::uint32_t>(index);
     // Nested parallelism: the cell's episodes submit their clone batches

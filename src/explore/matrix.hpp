@@ -77,8 +77,8 @@ struct MatrixOptions {
   /// child tasks of the cell's worker, so a 1-cell matrix on a W-worker
   /// pool still keeps all W workers busy (idle workers steal the parked
   /// cell's clones). Off: the legacy cells-only split — a cell's clones run
-  /// serially on the one worker that owns the cell (the equivalence
-  /// baseline). Fault sets are byte-identical either way at any worker
+  /// inline on its orchestrator's own threadless pool, on the one worker
+  /// that owns the cell (the equivalence baseline). Fault sets are byte-identical either way at any worker
   /// count: strategy streams and ledger priorities derive from canonical
   /// indices, never from execution order (docs/DETERMINISM.md).
   bool nested_parallelism = true;

@@ -1,5 +1,5 @@
 // End-to-end tests of parallel exploration: DiCE episodes over the worker
-// pool must be bit-identical to the serial path for any worker count, and
+// pool must be bit-identical to the 1-worker run for any worker count, and
 // the ScenarioMatrix driver must fan cells out deterministically.
 #include <gtest/gtest.h>
 

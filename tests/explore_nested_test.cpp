@@ -36,7 +36,7 @@ constexpr std::uint64_t kTopology27FaultHash = 0x63f680b04458c2a9ULL;
 
 /// The topology27 receipt configuration. `shared` runs the
 /// episodes through an externally-owned pool (the global-budget machinery);
-/// otherwise the orchestrator owns a private pool when workers > 1.
+/// otherwise the orchestrator owns a `workers`-sized pool (threadless at 1).
 [[nodiscard]] std::uint64_t topology27_hash(std::size_t workers, bool shared) {
   bgp::SystemBlueprint blueprint = bench_scenario("topology27")->blueprint;
 

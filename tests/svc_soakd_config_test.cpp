@@ -68,11 +68,13 @@ class SoakdConfigTest : public ::testing::Test {
 
 TEST_F(SoakdConfigTest, MalformedValuesExitOneNamingTheLine) {
   const std::pair<std::string, std::string> cases[] = {
-      {"max_rounds", "two"},         // once read as 0: run until signalled
-      {"seeds", "1,x"},              // once read as seeds {1, 0}
-      {"warm_start", "yes"},         // once read as false
-      {"episodes_per_cell", "2.5"},  // once read as 2
-      {"workers", "-1"},             // once wrapped to 2^64-1
+      // A prefix parse would read these as: 0 (run until signalled),
+      // seeds {1, 0}, false, 2, and 2^64-1 workers.
+      {"max_rounds", "two"},
+      {"seeds", "1,x"},
+      {"warm_start", "yes"},
+      {"episodes_per_cell", "2.5"},
+      {"workers", "-1"},
       {"round_interval_ms", "-5"},
       {"inputs_per_episode", "+4"},
       {"bootstrap_events", ""},
