@@ -56,8 +56,8 @@ class CellMerger {
   /// Records a COMPLETED cell's deduplicated faults (serial-encounter
   /// order) into the canonical ledger under the matrix discipline, and
   /// stashes a copy for the observer flush. Call at most once per cell,
-  /// before finish_cell(index). Thread-safe against other cells; the
-  /// ledger is lock-striped and the stash slot is owned by this cell until
+  /// before finish_cell(index). Thread-safe against other cells: the
+  /// ledger locks its own mutex and the stash slot is owned by this cell until
   /// its flush.
   void record_faults(std::size_t index, const std::vector<core::FaultReport>& faults);
 
