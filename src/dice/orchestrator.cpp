@@ -207,6 +207,9 @@ bool Orchestrator::bootstrap(std::size_t max_events) {
 
 bool Orchestrator::bootstrap_cached(explore::LiveStateCache& cache, std::uint64_t seed,
                                     std::size_t max_events) {
+  // Registered before any failure, so the exposition shows a zero.
+  static obs::Counter& resume_failures =
+      obs::MetricsRegistry::global().counter(obs::names::kLiveCacheResumeFailures);
   const explore::LiveStateCache::Key key{prototype_, seed, max_events,
                                          bootstrap_flip_exit()};
   const explore::LiveStateCache::Lookup lookup =
@@ -233,6 +236,7 @@ bool Orchestrator::bootstrap_cached(explore::LiveStateCache& cache, std::uint64_
   }
   if (lookup.state == nullptr) return bootstrap(max_events);  // uncacheable key
   if (auto status = live_->resume_from(*lookup.state); !status) {
+    resume_failures.add();
     logger().warn() << "live-state resume failed (" << status.error().to_string()
                     << "); bootstrapping fresh";
     // A mid-apply failure leaves the instance half-seeded with foreign

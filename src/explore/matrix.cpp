@@ -173,20 +173,8 @@ ScenarioMatrix::ScenarioMatrix(std::vector<ScenarioSpec> scenarios, MatrixOption
 }
 
 MatrixResult ScenarioMatrix::run(ExplorePool& pool, const RunControl& control) {
-  // The shared canonical enumeration (also what shard::ShardCoordinator
-  // deals from — the two MUST agree or cross-process merge bytes drift).
+  // The shared canonical enumeration: cell index <-> identity.
   const std::vector<CellIdentity> cells = enumerate_cells(scenarios_.size(), options_);
-
-  // Shard-subset membership: a cell outside the subset is flushed as
-  // skipped without running (and without touching the stop token or the
-  // wall observer) — see MatrixOptions::cell_subset.
-  std::vector<unsigned char> in_subset;
-  if (options_.cell_subset.has_value()) {
-    in_subset.assign(cells.size(), 0);
-    for (const std::size_t index : *options_.cell_subset) {
-      if (index < cells.size()) in_subset[index] = 1;
-    }
-  }
 
   MatrixResult result;
   result.cells.resize(cells.size());
@@ -215,12 +203,10 @@ MatrixResult ScenarioMatrix::run(ExplorePool& pool, const RunControl& control) {
   LiveStateCache* live_cache =
       options_.live_cache != nullptr ? options_.live_cache : &private_cache;
 
-  // Streaming reorder buffer + per-cell-salted canonical ledger, extracted
-  // into CellMerger so shard::ShardCoordinator runs the IDENTICAL merge
-  // across processes (docs/SHARDING.md). Cells finish in wall-clock order;
-  // the observer sees canonical (cross-product) order, and the merger's
-  // flush mutex publishes result.cells[i] from the finishing worker to the
-  // flusher.
+  // Streaming reorder buffer + per-cell-salted canonical ledger
+  // (CellMerger). Cells finish in wall-clock order; the observer sees
+  // canonical (cross-product) order, and the merger's flush mutex publishes
+  // result.cells[i] from the finishing worker to the flusher.
   CellMerger::Options merge_options;
   merge_options.observer = control.observer;
   merge_options.trace = control.trace;
@@ -271,12 +257,6 @@ MatrixResult ScenarioMatrix::run(ExplorePool& pool, const RunControl& control) {
     const CellIdentity& cell = cells[index];
     const ScenarioSpec& spec = scenarios_[cell.scenario];
     CellResult& out = result.cells[index];
-    if (!in_subset.empty() && in_subset[index] == 0) {
-      // Not this shard's cell: flush it as skipped (started=false) without
-      // draining the pool — the rest of the subset still has to run.
-      merger.finish_cell(index);
-      return;
-    }
     if (stoppable && control.stop.stop_requested()) {
       // Between-cells cancellation point: skip the whole cell and drop the
       // still-queued deal so idle peers stop dequeuing doomed work. The

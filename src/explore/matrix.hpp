@@ -45,10 +45,10 @@ inline constexpr std::string_view kBenchScenarioNames[] = {
 
 /// Builds the bench scenario `name` (one of kBenchScenarioNames), or
 /// nullopt for any other name. The ONE construction of each named
-/// scenario: the daemon config, the shard scenario sets and
-/// default_bench_scenarios() all build through it, so a name means the
-/// same blueprint everywhere — "topology27" is the blueprint the pinned
-/// `63f680b04458c2a9` receipt is measured on.
+/// scenario: the daemon config and default_bench_scenarios() both build
+/// through it, so a name means the same blueprint everywhere —
+/// "topology27" is the blueprint the pinned `63f680b04458c2a9` receipt is
+/// measured on.
 [[nodiscard]] std::optional<ScenarioSpec> bench_scenario(std::string_view name);
 
 /// Every bench scenario as matrix rows, in kBenchScenarioNames order.
@@ -105,20 +105,11 @@ struct MatrixOptions {
   /// svc round receipt); on a multi-cell matrix it makes same-strategy
   /// cells draw identical input streams. nullopt = the derived streams.
   std::optional<std::uint64_t> strategy_seed = std::nullopt;
-  /// Shard-worker plumbing (docs/SHARDING.md), not a tuning knob: when set,
-  /// only the listed canonical cell indices EXECUTE; every other cell is
-  /// flushed as skipped (started=false, no faults). Cell identity, per-cell
-  /// RNG streams and ledger priorities key off the canonical index, never
-  /// off the subset, so the union of disjoint subsets run in separate
-  /// processes merges byte-identically to one full-space run. Out-of-range
-  /// indices are ignored. nullopt = run every cell (the only mode end users
-  /// drive; explore::Campaign never sets this).
-  std::optional<std::vector<std::size_t>> cell_subset = std::nullopt;
 };
 
 /// Canonical cross-product identity of one cell — THE shared definition of
 /// cell index <-> (scenario, strategy, seed, implementation) used by the
-/// matrix body and by shard::ShardCoordinator's deal/merge. The
+/// matrix body and by callers that label cells by index (perfbench). The
 /// implementation axis is the innermost loop (see MatrixOptions).
 struct CellIdentity {
   std::size_t scenario = 0;  ///< index into the scenario vector

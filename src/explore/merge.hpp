@@ -1,28 +1,20 @@
 // explore::CellMerger — the ONE canonical merge: a streaming reorder buffer
-// plus the per-cell-salted FaultLedger discipline, shared by every surface
-// that folds cells into a campaign-shaped result.
+// plus the per-cell-salted FaultLedger discipline that ScenarioMatrix::run
+// folds its cells through. Kept as its own component so the invariant can
+// be tested directly (CellMergerTest):
 //
-// Before this component the reorder buffer lived as a local struct inside
-// ScenarioMatrix::run. Cross-process sharding (shard::ShardCoordinator)
-// needs the IDENTICAL merge — same flush order, same ledger priorities,
-// same per-cell salting — or the byte-identical
-// fault-set guarantee dies at the process boundary. Extracting it means
-// there is exactly one implementation of the invariant instead of two
-// copies that can drift:
-//
-//  * cells land in ANY order (wall-clock completion in the matrix, frame
-//    arrival order under sharding); the observer stream is flushed in
-//    CANONICAL cell order — a landed cell is held until every earlier cell
-//    has landed, then flushed start -> fault* -> done;
+//  * cells land in ANY order (wall-clock completion); the observer stream
+//    is flushed in CANONICAL cell order — a landed cell is held until every
+//    earlier cell has landed, then flushed start -> fault* -> done;
 //  * a completed cell's faults are recorded with priority
 //    `index << 32 + encounter order` and key salt `index + 1` — the serial
 //    order a single-process, single-worker run would produce — so
-//    canonical_faults() is byte-identical no matter who executed the cell,
-//    in which process, or when its result arrived;
-//  * cells that never land (skipped by a stop token, lost with their
-//    shard) are flushed as not-started by finish_remaining(): the stream
-//    always covers every cell exactly once, and a cancelled or lossy merge
-//    is well-formed-partial, never silently short.
+//    canonical_faults() is byte-identical no matter which worker executed
+//    the cell or when its result arrived;
+//  * cells that never land (skipped by a stop token, drained from the
+//    pool) are flushed as not-started by finish_remaining(): the stream
+//    always covers every cell exactly once, and a cancelled merge is
+//    well-formed-partial, never silently short.
 #pragma once
 
 #include <cstdint>
@@ -66,12 +58,11 @@ class CellMerger {
   void finish_cell(std::size_t index);
 
   /// Whether finish_cell(index) already ran. Only meaningful once
-  /// concurrent producers have quiesced (the matrix post-batch sweep, the
-  /// coordinator after its event loop).
+  /// concurrent producers have quiesced.
   [[nodiscard]] bool finished(std::size_t index) const;
 
   /// Flushes every cell that never landed (stop-token skips, drained
-  /// tasks, lost shards) so the stream covers all cells exactly once.
+  /// tasks) so the stream covers all cells exactly once.
   /// Call after producers quiesced.
   void finish_remaining();
 

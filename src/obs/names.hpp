@@ -44,6 +44,8 @@ inline constexpr std::string_view kLiveCacheUncacheable =
     "dice_live_cache_uncacheable_total";
 inline constexpr std::string_view kLiveCacheEvictions =
     "dice_live_cache_evictions_total";
+inline constexpr std::string_view kLiveCacheResumeFailures =
+    "dice_live_cache_resume_failures_total";
 
 // --- snapshot / checkpoint pipeline ----------------------------------------
 inline constexpr std::string_view kCheckpointDecodes = "dice_checkpoint_decodes_total";

@@ -77,7 +77,7 @@ struct StoreContents {
 
 class ArtifactStore {
  public:
-  /// v1 wire format: the shared util::Envelope ("DSVC" magic, version
+  /// v1 wire format: the sealed util::Envelope ("DSVC" magic, version
   /// byte, u64 FNV-1a checksum over the payload, payload). The checksum is
   /// verified BEFORE any payload parsing, so every single-byte corruption
   /// is detected deterministically.

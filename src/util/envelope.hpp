@@ -1,5 +1,4 @@
-// Sealed envelope: the framing DSHD wire messages and DSVC store files
-// share.
+// Sealed envelope: the framing of DSVC store files (svc::ArtifactStore).
 //
 //   magic (4 bytes) | version (u8) | FNV-1a over the body (u64) | body
 //
@@ -20,7 +19,7 @@
 namespace dice::util {
 
 struct Envelope {
-  std::string_view magic;  ///< the format's magic, e.g. "DSHD"
+  std::string_view magic;  ///< the format's magic, e.g. "DSVC"
   std::uint8_t version;
   const char* magic_code;     ///< the data does not start with `magic`
   const char* version_code;   ///< the version byte is not `version`

@@ -18,7 +18,6 @@
 #pragma once
 
 #include <algorithm>
-#include <bit>
 #include <cstdint>
 #include <iterator>
 #include <optional>
@@ -43,22 +42,14 @@ class FieldEncoder {
 
   explicit FieldEncoder(ByteWriter& out) noexcept : out_(out) {}
 
-  void u32(std::uint32_t v) { out_.u32(v); }
   void u64(std::uint64_t v) { out_.u64(v); }
   void vu32(std::uint32_t v) { out_.vu32(v); }
   void vu64(std::uint64_t v) { out_.vu64(v); }
-  void f64(double v) { out_.u64(std::bit_cast<std::uint64_t>(v)); }
-  void boolean(bool v) { out_.u8(v ? 1 : 0); }
   void str(const std::string& v) { out_.str(v); }
   /// vu64 length, then the raw bytes.
   void bytes(const Bytes& v) {
     out_.vu64(v.size());
     out_.raw(v);
-  }
-  /// One byte; the decoder refuses values above `max`.
-  template <class E>
-  void enumeration(E v, E /*max*/) {
-    out_.u8(static_cast<std::uint8_t>(v));
   }
   /// Up to eight bools packed into one byte, the first in bit 0.
   template <class... B>
@@ -68,12 +59,6 @@ class FieldEncoder {
     unsigned bit = 0;
     ((packed |= static_cast<std::uint8_t>(bits ? 1u << bit : 0u), ++bit), ...);
     out_.u8(packed);
-  }
-  /// A presence bool, then the value when present.
-  template <class T, class F>
-  void optional(const std::optional<T>& v, F&& field) {
-    boolean(v.has_value());
-    if (v.has_value()) field(*v);
   }
   /// vu64 count, then each element. Takes any sized range, so an encoder
   /// may hand in a canonical view (sorted references) of a vector.
@@ -98,29 +83,16 @@ class FieldDecoder {
   static constexpr bool kDecoding = true;
 
   /// `value_code` is the format's error code for a field that reads fine
-  /// but holds an impossible value (a bool above 1, an enum past its max,
-  /// an undefined flag bit).
+  /// but holds an impossible value (an undefined flag bit).
   FieldDecoder(ByteReader& in, const char* value_code) noexcept
       : in_(in), value_code_(value_code) {}
 
   [[nodiscard]] bool ok() const noexcept { return !error_.has_value(); }
 
-  void u32(std::uint32_t& v) { read(&ByteReader::u32, v); }
   void u64(std::uint64_t& v) { read(&ByteReader::u64, v); }
   void vu32(std::uint32_t& v) { read(&ByteReader::vu32, v); }
   void vu64(std::uint64_t& v) { read(&ByteReader::vu64, v); }
   void str(std::string& v) { read(&ByteReader::str, v); }
-  void f64(double& v) {
-    std::uint64_t bits = 0;
-    u64(bits);
-    v = std::bit_cast<double>(bits);
-  }
-  void boolean(bool& v) {
-    std::uint8_t byte = 0;
-    read(&ByteReader::u8, byte);
-    if (byte > 1) fail(value_code_, "bool out of range: " + std::to_string(byte));
-    v = byte == 1;
-  }
   void bytes(Bytes& v) {
     std::uint64_t size = 0;
     vu64(size);
@@ -129,15 +101,6 @@ class FieldDecoder {
     if (!body) return fail(body.error());
     v.assign(body.value().begin(), body.value().end());
   }
-  template <class E>
-  void enumeration(E& v, E max) {
-    std::uint8_t byte = 0;
-    read(&ByteReader::u8, byte);
-    if (byte > static_cast<std::uint8_t>(max)) {
-      fail(value_code_, "enum value out of range: " + std::to_string(byte));
-    }
-    v = static_cast<E>(byte);
-  }
   template <class... B>
   void flags(B&... bits) {
     std::uint8_t packed = 0;
@@ -145,13 +108,6 @@ class FieldDecoder {
     if ((packed >> sizeof...(B)) != 0) fail(value_code_, "undefined flag bits");
     unsigned bit = 0;
     ((bits = ((packed >> bit++) & 1u) != 0), ...);
-  }
-  template <class T, class F>
-  void optional(std::optional<T>& v, F&& field) {
-    bool present = false;
-    boolean(present);
-    v.reset();
-    if (present && ok()) field(v.emplace());
   }
   /// Every element encodes to at least one byte, so a count above the
   /// bytes left is refused, and the reservation never takes more memory

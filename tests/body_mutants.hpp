@@ -4,9 +4,12 @@
 // which must return a value or a typed error.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "util/bytes.hpp"
 
@@ -21,15 +24,23 @@ inline constexpr std::uint8_t kByteFlips[] = {0x01, 0x40, 0x7f, 0x80, 0xff};
 inline constexpr std::uint64_t kVarintExtremes[] = {
     0, 1, 0x7f, 0x80, std::uint64_t{1} << 32, std::uint64_t{1} << 63, ~std::uint64_t{0}};
 
+/// Values written over every four-byte window of a body in ByteWriter::u32
+/// byte order: the fixed-width lengths (io.str) a decoder must never
+/// trust. Each body also gets its own size as a fifth value.
+inline constexpr std::uint32_t kU32Extremes[] = {0, 1, 0x7fffffff, 0xffffffff};
+
 struct MutantCounts {
   std::size_t flips = 0;    ///< body.size() * size(kByteFlips)
   std::size_t varints = 0;  ///< offsets where a varint parses * size(kVarintExtremes)
+  std::size_t u32s = 0;     ///< (body.size() - 3) * (size(kU32Extremes) + 1)
 };
 
 /// Calls fn(mutated_body, what) for every body with one byte XOR'd by a
 /// kByteFlips mask, then for every body in which the varint that parses
 /// at some offset is re-encoded as a kVarintExtremes value (the bytes
-/// after it shift). `what` names the mutation for failure messages.
+/// after it shift), then for every body with the four bytes at some
+/// offset overwritten by a kU32Extremes value or body.size() (nothing
+/// shifts). `what` names the mutation for failure messages.
 template <typename Fn>
 MutantCounts for_each_body_mutant(const util::Bytes& body, Fn&& fn) {
   MutantCounts counts;
@@ -54,6 +65,18 @@ MutantCounts for_each_body_mutant(const util::Bytes& body, Fn&& fn) {
       fn(std::move(writer).take(),
          "varint at body byte " + std::to_string(i) + " = " + std::to_string(value));
       ++counts.varints;
+    }
+  }
+  std::vector<std::uint32_t> u32_values(std::begin(kU32Extremes), std::end(kU32Extremes));
+  u32_values.push_back(static_cast<std::uint32_t>(body.size()));
+  for (std::size_t i = 0; i + 4 <= body.size(); ++i) {
+    for (const std::uint32_t value : u32_values) {
+      util::ByteWriter writer(4);
+      writer.u32(value);
+      util::Bytes mutated = body;
+      std::copy(writer.bytes().begin(), writer.bytes().end(), mutated.begin() + i);
+      fn(mutated, "u32 at body byte " + std::to_string(i) + " = " + std::to_string(value));
+      ++counts.u32s;
     }
   }
   return counts;

@@ -439,8 +439,7 @@ TEST(CampaignSoakTest, OwnedLiveCacheServesRepeatRuns) {
 // order, then a stop leaving the tail of the space never landed. The
 // stream must stay canonical, every held cell must still drain, and
 // finish_remaining must cover the never-landed tail — a pinned
-// partial-validity receipt for the merge path both ScenarioMatrix and
-// shard::ShardCoordinator share.
+// partial-validity receipt for ScenarioMatrix's merge path.
 
 #include "explore/merge.hpp"
 

@@ -7,7 +7,8 @@
 //    serves round-1 bootstraps from cache, produces the same fault bytes,
 //    and re-saves a byte-identical store file.
 //  * Robustness: a corrupt store cold-starts with a typed error retained;
-//    a stored cut that no longer decodes falls back to a fresh bootstrap.
+//    a stored cut that no longer decodes falls back to a fresh bootstrap,
+//    and the failed resume is counted.
 //  * Passivity: observers and metrics never move the fault bytes.
 #include <gtest/gtest.h>
 
@@ -15,6 +16,7 @@
 #include <fstream>
 #include <iterator>
 
+#include "metrics_delta.hpp"
 #include "obs/metrics.hpp"
 #include "obs/names.hpp"
 #include "svc/soak_observer.hpp"
@@ -158,8 +160,9 @@ TEST(SoakServiceTest, CorruptStoreDegradesToTypedColdStart) {
 
 TEST(SoakServiceTest, UndecodableStoredCutFallsBackToAFreshBootstrap) {
   // A store that loads cleanly can still hold a cut this build no longer
-  // decodes. The resume then fails typed and the cell bootstraps fresh,
-  // exactly as a cold round would.
+  // decodes: Snapshot::cut_hash covers checkpoint.hash, not the state
+  // bytes. The resume then fails typed, the failure is counted, and the
+  // cell bootstraps fresh, exactly as a cold round would.
   const std::string store = temp_path("svc_soak_undecodable.dsvc");
   std::uint64_t cold_hash = 0;
   {
@@ -171,25 +174,37 @@ TEST(SoakServiceTest, UndecodableStoredCutFallsBackToAFreshBootstrap) {
   }
   auto loaded = ArtifactStore(store).load();
   ASSERT_TRUE(loaded.ok()) << loaded.error().to_string();
-  StoreContents contents = std::move(loaded).take();
-  ASSERT_EQ(contents.live_states.size(), 1u);
-  snapshot::Snapshot& snap = contents.live_states[0].snap;
-  ASSERT_FALSE(snap.nodes.empty());
-  // The retired fixed-width format's first byte. The recorded hash stays,
-  // so the cut hash still matches and the store still loads.
-  snap.nodes.begin()->second.state = util::Bytes{0x01};
-  ASSERT_EQ(snap.cut_hash(), contents.live_states[0].cut_hash);
-  ASSERT_TRUE(ArtifactStore(store).save(contents).ok());
+  const StoreContents cold_contents = std::move(loaded).take();
+  ASSERT_EQ(cold_contents.live_states.size(), 1u);
+  ASSERT_FALSE(cold_contents.live_states[0].snap.nodes.empty());
+  const util::Bytes& cold_state = cold_contents.live_states[0].snap.nodes.begin()->second.state;
+  ASSERT_GT(cold_state.size(), 1u);
 
-  SoakService revived(receipt_scenarios(), receipt_options(2, store));
-  EXPECT_TRUE(revived.store_error().code.empty());
-  EXPECT_EQ(revived.report().primed_from_store, 1u);
-  const RoundSummary summary = revived.run_round();
-  EXPECT_EQ(summary.cells_from_cache, 0u);
-  EXPECT_EQ(summary.cells_completed, 1u);
-  EXPECT_FALSE(summary.stopped);
-  EXPECT_EQ(summary.fault_hash, cold_hash);
-  EXPECT_EQ(summary.fault_hash, kReceiptHash);
+  // The retired fixed-width format's first byte, and the state cut down
+  // to its own first byte.
+  for (const util::Bytes& state : {util::Bytes{0x01}, util::Bytes{cold_state[0]}}) {
+    StoreContents contents = cold_contents;
+    snapshot::Snapshot& snap = contents.live_states[0].snap;
+    snap.nodes.begin()->second.state = state;
+    ASSERT_EQ(snap.cut_hash(), contents.live_states[0].cut_hash);
+    ASSERT_TRUE(ArtifactStore(store).save(contents).ok());
+
+    SoakService revived(receipt_scenarios(), receipt_options(2, store));
+    EXPECT_TRUE(revived.store_error().code.empty());
+    EXPECT_EQ(revived.report().primed_from_store, 1u);
+    const std::uint64_t warm_starts_before = revived.report().warm_starts;
+    const testutil::CounterDelta delta;
+    const RoundSummary summary = revived.run_round();
+    EXPECT_EQ(summary.cells_from_cache, 0u);
+    EXPECT_EQ(summary.cells_completed, 1u);
+    EXPECT_FALSE(summary.stopped);
+    EXPECT_EQ(summary.fault_hash, cold_hash);
+    EXPECT_EQ(summary.fault_hash, kReceiptHash);
+    EXPECT_EQ(revived.report().warm_starts, warm_starts_before);
+    if (obs::kEnabled) {
+      EXPECT_EQ(delta(obs::names::kLiveCacheResumeFailures), 1u);
+    }
+  }
   std::remove(store.c_str());
 }
 

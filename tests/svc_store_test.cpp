@@ -188,7 +188,8 @@ TEST(ArtifactStoreTest, ResealedBodyMutantsDecodeOrFailTyped) {
       });
   EXPECT_EQ(counts.flips, body.size() * std::size(testutil::kByteFlips));
   EXPECT_GT(counts.varints, 0u);
-  EXPECT_EQ(mutants, counts.flips + counts.varints);
+  EXPECT_EQ(counts.u32s, (body.size() - 3) * (std::size(testutil::kU32Extremes) + 1));
+  EXPECT_EQ(mutants, counts.flips + counts.varints + counts.u32s);
   // Both outcomes occur: some fields accept any value, others reject.
   EXPECT_GT(decoded, 0u);
   EXPECT_LT(decoded, mutants);

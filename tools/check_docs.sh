@@ -21,12 +21,10 @@
 #      table row (`| `foo` | ...`) in docs/HETEROGENEITY.md, and every
 #      table-row id there must exist as a constant — registering a third
 #      engine or renaming one without documenting it fails here.
-#   6. svc::SoakOptions <-> docs/SERVICE.md and
-#   7. shard::ShardOptions <-> docs/SHARDING.md: every field of the struct
-#      must have a knob table row in its doc, and every table-row knob
+#   6. svc::SoakOptions <-> docs/SERVICE.md: every field of the struct
+#      must have a knob table row in the doc, and every table-row knob
 #      there must be declared in the struct's header — the soak daemon's
-#      and the coordinator's own knobs get the same two-way gate as the
-#      campaign's (one function, check_struct_table, run once per pair).
+#      own knobs get the same two-way gate as the campaign's.
 #
 # Exit nonzero on any drift; print every offender, not just the first.
 set -u
@@ -161,7 +159,7 @@ for impl in $doc_impls; do
   fi
 done
 
-# --- directions 6 + 7: option-struct fields <-> their doc's knob table ---
+# --- direction 6: option-struct fields <-> their doc's knob table ---------
 # Every field of the struct must have a knob table row (`| `field` | ...`)
 # in the doc, and every table-row knob there must be declared in the
 # header. Leaves the struct's field count in `knob_count`.
@@ -195,11 +193,9 @@ check_struct_table() {  # header, struct-name, doc
 
 check_struct_table src/svc/soak_service.hpp SoakOptions docs/SERVICE.md
 svc_knob_count=$knob_count
-check_struct_table src/shard/coordinator.hpp ShardOptions docs/SHARDING.md
-shard_knob_count=$knob_count
 
 if [[ "$fail" -ne 0 ]]; then
   echo "check_docs: FAILED — the docs and the code drifted" >&2
   exit 1
 fi
-echo "check_docs: OK ($(echo "$doc_knobs" | wc -l) documented knobs, $(echo "$code_knobs" | wc -l) public knobs, $(echo "$code_metrics" | wc -l) metrics, $(echo "$code_impls" | wc -l) implementation ids, $svc_knob_count soak knobs, $shard_knob_count shard knobs)"
+echo "check_docs: OK ($(echo "$doc_knobs" | wc -l) documented knobs, $(echo "$code_knobs" | wc -l) public knobs, $(echo "$code_metrics" | wc -l) metrics, $(echo "$code_impls" | wc -l) implementation ids, $svc_knob_count soak knobs)"
