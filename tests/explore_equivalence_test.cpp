@@ -88,35 +88,59 @@ TEST(ClonePinTest, HijackFaultSetPinnedAtWorkers1And2And8) {
   }
 }
 
-TEST(ClonePinTest, ArenaCloneStateAndCutHashesPinned) {
-  // System-level receipt: an arena clone of a mid-convergence cut (in-flight
-  // frames exist) converges to pinned per-node state hashes, and a snapshot
-  // of it yields the pinned cut hash.
-  auto prototype =
-      std::make_shared<const SystemPrototype>(bgp::make_internet({2, 3, 4}));
+/// Per-node state hashes (mixed into one) and the cut hash an arena clone
+/// of `blueprint`'s mid-convergence cut (in-flight frames exist) converges
+/// to.
+[[nodiscard]] std::pair<std::uint64_t, std::uint64_t> arena_clone_hashes(
+    bgp::SystemBlueprint blueprint) {
+  auto prototype = std::make_shared<const SystemPrototype>(std::move(blueprint));
   System live(prototype);
   live.start();
   live.simulator().run(350);
   const snapshot::SnapshotId id = live.take_snapshot(1);
-  ASSERT_NE(id, 0u);
+  EXPECT_NE(id, 0u);
   const auto prepared = live.prepare_snapshot(id);
-  ASSERT_NE(prepared, nullptr);
+  if (prepared == nullptr) {
+    ADD_FAILURE() << "prepare_snapshot failed";
+    return {};
+  }
 
   CloneArena arena;
   bool reused = false;
   auto acquired = arena.acquire(prototype, *prepared, reused);
-  ASSERT_TRUE(acquired.ok()) << acquired.error().to_string();
+  if (!acquired.ok()) {
+    ADD_FAILURE() << acquired.error().to_string();
+    return {};
+  }
   System& clone = *acquired.value();
-  ASSERT_TRUE(clone.converge());
+  EXPECT_TRUE(clone.converge());
   std::uint64_t state_hash = util::kFnvOffset;
   for (std::size_t i = 0; i < clone.size(); ++i) {
     state_hash = util::hash_mix(state_hash,
                                 clone.router(static_cast<sim::NodeId>(i)).state_hash());
   }
-  EXPECT_EQ(state_hash, kConvergedStateHash);
   const snapshot::SnapshotId clone_snap = clone.take_snapshot(0);
-  ASSERT_NE(clone_snap, 0u);
-  EXPECT_EQ(clone.snapshots().find(clone_snap)->cut_hash(), kConvergedCutHash);
+  EXPECT_NE(clone_snap, 0u);
+  return {state_hash, clone.snapshots().find(clone_snap)->cut_hash()};
+}
+
+TEST(ClonePinTest, ArenaCloneStateAndCutHashesPinned) {
+  // System-level receipt: an arena clone of a mid-convergence cut converges
+  // to pinned per-node state hashes, and a snapshot of it yields the pinned
+  // cut hash — on the reference engine alone and on a federation whose odd
+  // nodes run the fsm engine (its checkpoint path has no other literal).
+  // Both engines write the same v2 bytes for the same converged state, so
+  // the mixed federation pins the same two literals.
+  const auto [state_hash, cut_hash] = arena_clone_hashes(bgp::make_internet({2, 3, 4}));
+  EXPECT_EQ(state_hash, kConvergedStateHash);
+  EXPECT_EQ(cut_hash, kConvergedCutHash);
+
+  bgp::SystemBlueprint mixed = bgp::make_internet({2, 3, 4});
+  for (std::size_t i = 1; i < mixed.size(); i += 2) mixed.set_implementation(i, "fsm");
+  ASSERT_EQ(mixed.implementation_for(1), "fsm");
+  const auto [mixed_state_hash, mixed_cut_hash] = arena_clone_hashes(std::move(mixed));
+  EXPECT_EQ(mixed_state_hash, kConvergedStateHash);
+  EXPECT_EQ(mixed_cut_hash, kConvergedCutHash);
 }
 
 TEST(OscillationEarlyExitTest, CutsDisputeWheelBudgetAndKeepsTheFault) {
