@@ -96,8 +96,9 @@ void write_session_v2(util::ByteWriter& writer, const SessionCheckpoint& checkpo
 
 /// Decoded form of a complete v2 router stream: every tagged section the
 /// format carries. This is the interchange shape shared by all node
-/// implementations — each engine's Checkpointable::parse wraps it in its own
-/// snapshot::DecodedCheckpoint subclass.
+/// implementations: CheckpointLineage::parse (bgp/checkpoint_lineage.hpp),
+/// which every engine's Checkpointable::parse calls, wraps it in the one
+/// snapshot::DecodedCheckpoint subclass, bgp::RouterCheckpoint.
 struct RouterStateV2 {
   std::vector<std::pair<sim::NodeId, SessionCheckpoint>> sessions;
   std::vector<std::pair<sim::NodeId, Rib>> adj_in;

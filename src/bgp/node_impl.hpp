@@ -11,7 +11,9 @@
 //   - speak the shared wire codec (bgp/codec.hpp) over the frame transport;
 //   - implement snapshot::Checkpointable with the v2 tagged-section format
 //     (bgp/checkpoint_codec.hpp) including the delta-baseline envelope, so
-//     prepared clones and delta snapshots work unchanged;
+//     prepared clones and delta snapshots work unchanged — the built-in
+//     engines compose bgp::CheckpointLineage (bgp/checkpoint_lineage.hpp)
+//     for this and supply only their session entries;
 //   - keep every observable surface below deterministic for a fixed event
 //     order (no wall clock, no unseeded randomness);
 //   - expose its decision process through for_each_decision so the

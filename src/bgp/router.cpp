@@ -2,13 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
-#include <span>
 
 #include "bgp/checkpoint_codec.hpp"
 #include "concolic/context.hpp"
-#include "obs/metrics.hpp"
-#include "obs/names.hpp"
-#include "util/hash.hpp"
 #include "util/log.hpp"
 
 namespace dice::bgp {
@@ -30,7 +26,14 @@ BgpRouter::BgpRouter(sim::Network& network, sim::NodeId id, RouterConfig config,
                      std::shared_ptr<const std::map<util::IpAddress, sim::NodeId>> address_book)
     : NodeImplementation(network, id),
       config_(std::move(config)),
-      address_book_(std::move(address_book)) {
+      address_book_(std::move(address_book)),
+      lineage_([this](util::ByteWriter& body) {
+        body.vu32(static_cast<std::uint32_t>(sessions_.size()));
+        for (const auto& [peer, session] : sessions_) {
+          body.vu32(peer);
+          ckpt::write_session_v2(body, *session);
+        }
+      }) {
   for (const NeighborConfig& neighbor : config_.neighbors) {
     auto it = address_book_->find(neighbor.address);
     if (it == address_book_->end()) {
@@ -49,7 +52,7 @@ BgpRouter::BgpRouter(sim::Network& network, sim::NodeId id, RouterConfig config,
                     std::move(address_book))) {}
 
 void BgpRouter::start() {
-  ++state_version_;  // origination mutates Loc-RIB
+  lineage_.bump();  // origination mutates Loc-RIB
   originate_networks();
   for (auto& [peer, session] : sessions_) session->start();
 }
@@ -62,13 +65,13 @@ void BgpRouter::originate_networks() {
 }
 
 const Rib* BgpRouter::adj_rib_in(sim::NodeId peer) const {
-  auto it = adj_in_.find(peer);
-  return it == adj_in_.end() ? nullptr : &it->second;
+  auto it = lineage_.adj_in.find(peer);
+  return it == lineage_.adj_in.end() ? nullptr : &it->second;
 }
 
 const Rib* BgpRouter::adj_rib_out(sim::NodeId peer) const {
-  auto it = adj_out_.find(peer);
-  return it == adj_out_.end() ? nullptr : &it->second;
+  auto it = lineage_.adj_out.find(peer);
+  return it == lineage_.adj_out.end() ? nullptr : &it->second;
 }
 
 Session* BgpRouter::session(sim::NodeId peer) {
@@ -117,7 +120,7 @@ void BgpRouter::deliver_data(sim::NodeId from, const util::Bytes& payload) {
     // real daemon would abort; we model the crash as a session-wide reset
     // and surface it to DiCE's crash checker via handler_crashes.
     ++stats_.handler_crashes;
-    ++state_version_;  // crash recovery resets every session
+    lineage_.bump();  // crash recovery resets every session
     logger().warn() << config_.name << ": handler crash: " << crash.what;
     for (auto& [peer, session] : sessions_) {
       session->reset_transport("daemon crash: " + crash.what);
@@ -130,23 +133,23 @@ void BgpRouter::deliver_data(sim::NodeId from, const util::Bytes& payload) {
 // ---------------------------------------------------------------------------
 
 void BgpRouter::session_established(sim::NodeId peer) {
-  ++state_version_;  // send_full_table populates Adj-RIB-Out
+  lineage_.bump();  // send_full_table populates Adj-RIB-Out
   if (Session* s = session(peer)) send_full_table(*s);
 }
 
 void BgpRouter::session_down(sim::NodeId peer, const std::string& reason) {
   (void)reason;
-  ++state_version_;  // Adj-RIBs flushed below
+  lineage_.bump();  // Adj-RIBs flushed below
   // Flush everything learned from the peer and withdraw what we advertised.
-  auto it = adj_in_.find(peer);
-  if (it != adj_in_.end()) {
+  auto it = lineage_.adj_in.find(peer);
+  if (it != lineage_.adj_in.end()) {
     std::vector<util::IpPrefix> lost;
     lost.reserve(it->second.size());
     for (const auto& [prefix, route] : it->second.table()) lost.push_back(prefix);
-    adj_in_.erase(it);
+    lineage_.adj_in.erase(it);
     for (const util::IpPrefix& prefix : lost) run_decision(prefix);
   }
-  adj_out_.erase(peer);
+  lineage_.adj_out.erase(peer);
   if (auto_restart_) schedule_restart(peer);
 }
 
@@ -160,7 +163,7 @@ void BgpRouter::schedule_restart(sim::NodeId peer) {
 
 void BgpRouter::session_update(sim::NodeId peer, const UpdateMessage& update) {
   ++stats_.updates_received;
-  ++state_version_;  // process_update touches Adj-RIB-In/Loc-RIB/Adj-RIB-Out
+  lineage_.bump();  // process_update touches Adj-RIB-In/Loc-RIB/Adj-RIB-Out
   process_update(peer, update);
 }
 
@@ -171,7 +174,7 @@ void BgpRouter::session_update(sim::NodeId peer, const UpdateMessage& update) {
 void BgpRouter::process_update(sim::NodeId peer, const UpdateMessage& update) {
   Session* s = session(peer);
   if (s == nullptr) return;
-  Rib& rib_in = adj_in_[peer];
+  Rib& rib_in = lineage_.adj_in[peer];
 
   for (const util::IpPrefix& prefix : update.withdrawn) {
     if (rib_in.erase(prefix)) run_decision(prefix);
@@ -242,7 +245,7 @@ std::vector<Route> BgpRouter::collect_candidates(const util::IpPrefix& prefix) c
       config_.networks.end()) {
     candidates.push_back(local_route(config_, prefix));
   }
-  for (const auto& [peer, rib] : adj_in_) {
+  for (const auto& [peer, rib] : lineage_.adj_in) {
     if (const Route* route = rib.find(prefix)) candidates.push_back(*route);
   }
   return candidates;
@@ -258,7 +261,7 @@ std::size_t BgpRouter::established_session_count() const {
 
 void BgpRouter::for_each_decision(
     const std::function<void(const DecisionView&)>& fn) const {
-  for_each_rib_decision(config_, adj_in_, loc_rib_, fn);
+  for_each_rib_decision(config_, lineage_.adj_in, lineage_.loc_rib, fn);
 }
 
 void BgpRouter::run_decision(const util::IpPrefix& prefix) {
@@ -270,19 +273,19 @@ void BgpRouter::run_decision(const util::IpPrefix& prefix) {
   options.always_compare_med = config_.always_compare_med;
   const std::size_t best = select_best(candidates, options);
 
-  const Route* current = loc_rib_.find(prefix);
+  const Route* current = lineage_.loc_rib.find(prefix);
   if (best == SIZE_MAX) {
-    if (loc_rib_.erase(prefix)) {
+    if (lineage_.loc_rib.erase(prefix)) {
       ++stats_.best_changes;
-      max_best_flips_ = std::max(max_best_flips_, ++best_flips_[prefix]);
+      lineage_.count_flip(prefix);
       propagate(prefix);
     }
     return;
   }
   if (current != nullptr && *current == candidates[best]) return;
-  loc_rib_.upsert(candidates[best]);
+  lineage_.loc_rib.upsert(candidates[best]);
   ++stats_.best_changes;
-  max_best_flips_ = std::max(max_best_flips_, ++best_flips_[prefix]);
+  lineage_.count_flip(prefix);
   propagate(prefix);
 }
 
@@ -293,15 +296,15 @@ void BgpRouter::propagate(const util::IpPrefix& prefix) {
 }
 
 void BgpRouter::send_full_table(Session& session) {
-  for (const auto& [prefix, route] : loc_rib_.table()) {
+  for (const auto& [prefix, route] : lineage_.loc_rib.table()) {
     export_to_peer(session, prefix);
   }
 }
 
 void BgpRouter::export_to_peer(Session& session, const util::IpPrefix& prefix) {
   const sim::NodeId peer = session.peer_node();
-  Rib& rib_out = adj_out_[peer];
-  const Route* best = loc_rib_.find(prefix);
+  Rib& rib_out = lineage_.adj_out[peer];
+  const Route* best = lineage_.loc_rib.find(prefix);
 
   const auto withdraw_if_advertised = [&] {
     if (rib_out.erase(prefix)) {
@@ -366,136 +369,32 @@ void BgpRouter::export_to_peer(Session& session, const util::IpPrefix& prefix) {
 // Checkpoint / restore
 // ---------------------------------------------------------------------------
 
-void BgpRouter::checkpoint(util::ByteWriter& writer) const {
-  // Byte-coded v2 stream: version byte, attribute pool, tagged sections,
-  // end tag. The pool is filled while the sections serialize into a scratch
-  // writer, then emitted ahead of them (readers need the pool first).
-  using ckpt::Tag;
-  util::ByteWriter body;
-  ckpt::AttrPoolEncoder pool;
-
-  // Sessions (keyed by peer node id for stable identity across clones).
-  body.u8(static_cast<std::uint8_t>(Tag::kSessions));
-  body.vu32(static_cast<std::uint32_t>(sessions_.size()));
-  for (const auto& [peer, session] : sessions_) {
-    body.vu32(peer);
-    ckpt::write_session_v2(body, *session);
-  }
-  body.u8(static_cast<std::uint8_t>(Tag::kAdjIn));
-  body.vu32(static_cast<std::uint32_t>(adj_in_.size()));
-  for (const auto& [peer, rib] : adj_in_) {
-    body.vu32(peer);
-    ckpt::write_rib_v2(body, rib, pool);
-  }
-  body.u8(static_cast<std::uint8_t>(Tag::kLocRib));
-  ckpt::write_rib_v2(body, loc_rib_, pool);
-  body.u8(static_cast<std::uint8_t>(Tag::kAdjOut));
-  body.vu32(static_cast<std::uint32_t>(adj_out_.size()));
-  for (const auto& [peer, rib] : adj_out_) {
-    body.vu32(peer);
-    ckpt::write_rib_v2(body, rib, pool);
-  }
-  // Flip counters travel with the snapshot so clone-side oscillation
-  // detection starts from the live system's baseline.
-  body.u8(static_cast<std::uint8_t>(Tag::kFlips));
-  body.vu32(static_cast<std::uint32_t>(best_flips_.size()));
-  for (const auto& [prefix, count] : best_flips_) {
-    body.u32(prefix.address().value());
-    body.u8(prefix.length());
-    body.vu32(count);
-  }
-
-  writer.u8(ckpt::kFormatV2);
-  pool.emit(writer);
-  writer.raw(body.span());
-  writer.u8(static_cast<std::uint8_t>(Tag::kEnd));
-}
-
 util::Result<std::shared_ptr<const snapshot::DecodedCheckpoint>> BgpRouter::parse(
     util::ByteReader& reader) const {
   g_checkpoint_decodes.fetch_add(1, std::memory_order_relaxed);
-  static obs::Counter& decode_counter =
-      obs::MetricsRegistry::global().counter(obs::names::kCheckpointDecodes);
-  decode_counter.add();
-
-  auto state = ckpt::read_router_v2(reader, [this](sim::NodeId peer) {
+  return CheckpointLineage::parse(reader, [this](sim::NodeId peer) {
     return sessions_.find(peer) != sessions_.end();
   });
-  if (!state) return state.error();
-  auto decoded = std::make_shared<RouterCheckpoint>();
-  decoded->sessions = std::move(state.value().sessions);
-  decoded->adj_in = std::move(state.value().adj_in);
-  decoded->loc_rib = std::move(state.value().loc_rib);
-  decoded->adj_out = std::move(state.value().adj_out);
-  decoded->best_flips = std::move(state.value().best_flips);
-  return std::shared_ptr<const snapshot::DecodedCheckpoint>(std::move(decoded));
-}
-
-std::uint64_t BgpRouter::encode_checkpoint(util::ByteWriter& writer,
-                                           snapshot::SnapshotId this_snapshot,
-                                           snapshot::SnapshotId baseline) {
-  if (baseline != 0 && last_checkpoint_.snapshot == baseline &&
-      last_checkpoint_.version == state_version_) {
-    // Nothing checkpointed changed since the baseline captured this router:
-    // one byte replaces the whole stream, the recorded full-state hash keeps
-    // the cut fingerprint identical to a full encode.
-    writer.u8(snapshot::kCheckpointSameAsBaseline);
-    last_checkpoint_.snapshot = this_snapshot;
-    return last_checkpoint_.hash;
-  }
-  const std::size_t before = writer.size();
-  checkpoint(writer);
-  const std::uint64_t hash =
-      util::fnv1a(std::span(writer.span()).subspan(before));
-  last_checkpoint_ = {this_snapshot, state_version_, hash};
-  return hash;
 }
 
 util::Status BgpRouter::apply(const snapshot::DecodedCheckpoint& state) {
-  const auto* decoded = dynamic_cast<const RouterCheckpoint*>(&state);
-  if (decoded == nullptr) return util::make_error("router.apply.wrong_type");
-  ++state_version_;  // restore rewrites every piece of checkpointed state
-
-  for (const auto& [peer, checkpoint] : decoded->sessions) {
-    Session* s = session(peer);
-    if (s == nullptr) return util::make_error("router.restore.unknown_peer");
-    s->apply_checkpoint(checkpoint);
-  }
-
-  // Rib copies share the decoded tables (copy-on-write, bgp/rib.hpp): the
-  // restore is O(tables), and only the tables this router later writes are
-  // ever copied.
-  adj_in_.clear();
-  for (const auto& [peer, rib] : decoded->adj_in) adj_in_.emplace(peer, rib);
-  loc_rib_ = decoded->loc_rib;
-  adj_out_.clear();
-  for (const auto& [peer, rib] : decoded->adj_out) adj_out_.emplace(peer, rib);
-
-  best_flips_.clear();
-  max_best_flips_ = 0;
-  for (const auto& [prefix, count] : decoded->best_flips) {
-    best_flips_[prefix] = count;
-    max_best_flips_ = std::max(max_best_flips_, count);
-  }
-  applied_ = state.weak_from_this();
-  applied_version_ = state_version_;
-  return util::Status::success();
+  return lineage_.apply(state, [this](const auto& sessions) -> util::Status {
+    for (const auto& [peer, checkpoint] : sessions) {
+      Session* s = session(peer);
+      if (s == nullptr) return util::make_error("router.restore.unknown_peer");
+      s->apply_checkpoint(checkpoint);
+    }
+    return util::Status::success();
+  });
 }
 
 void BgpRouter::reset_for_reuse() {
   abort_snapshot();
   for (auto& [peer, session] : sessions_) session->reset_for_reuse();
-  adj_in_.clear();
-  loc_rib_.clear();
-  adj_out_.clear();
-  best_flips_.clear();
-  max_best_flips_ = 0;
+  lineage_.reset_for_reuse();
   stats_ = {};
   auto_restart_ = true;
   restart_delay_ = sim::kSecond;
-  ++state_version_;
-  last_checkpoint_ = {};  // arena reuse crosses snapshot lineages: no deltas
-  applied_.reset();
 }
 
 }  // namespace dice::bgp

@@ -1,12 +1,10 @@
 #include "bgp2/engine.hpp"
 
 #include <algorithm>
-#include <span>
 
 #include "concolic/context.hpp"
 #include "obs/metrics.hpp"
 #include "obs/names.hpp"
-#include "util/hash.hpp"
 #include "util/log.hpp"
 
 namespace dice::bgp2 {
@@ -23,7 +21,14 @@ FsmEngine::FsmEngine(
     std::shared_ptr<const std::map<util::IpAddress, sim::NodeId>> address_book)
     : NodeImplementation(network, id),
       config_(std::move(config)),
-      address_book_(std::move(address_book)) {
+      address_book_(std::move(address_book)),
+      lineage_([this](util::ByteWriter& body) {
+        body.vu32(static_cast<std::uint32_t>(fsms_.size()));
+        for (const auto& [peer, fsm] : fsms_) {
+          body.vu32(peer);
+          bgp::ckpt::write_session_v2(body, fsm->to_checkpoint());
+        }
+      }) {
   for (const bgp::NeighborConfig& neighbor : config_.neighbors) {
     auto it = address_book_->find(neighbor.address);
     if (it == address_book_->end()) {
@@ -37,7 +42,7 @@ FsmEngine::FsmEngine(
 }
 
 void FsmEngine::start() {
-  ++state_version_;  // origination mutates Loc-RIB
+  lineage_.bump();  // origination mutates Loc-RIB
   for (const util::IpPrefix& prefix : config_.networks) {
     bus_.post(RouteEvent{RouteEvent::Kind::kLearned, prefix, sim::kInvalidNode});
   }
@@ -51,8 +56,8 @@ PeerFsm* FsmEngine::fsm(sim::NodeId peer) {
 }
 
 const bgp::Rib* FsmEngine::adj_rib_in(sim::NodeId peer) const {
-  auto it = adj_in_.find(peer);
-  return it == adj_in_.end() ? nullptr : &it->second;
+  auto it = lineage_.adj_in.find(peer);
+  return it == lineage_.adj_in.end() ? nullptr : &it->second;
 }
 
 std::uint64_t FsmEngine::collisions_detected() const {
@@ -111,7 +116,7 @@ void FsmEngine::deliver_data(sim::NodeId from, const util::Bytes& payload) {
     // Injected programming error in the data path: model the daemon crash
     // as an all-sessions reset, observable through handler_crashes.
     ++stats_.handler_crashes;
-    ++state_version_;  // crash recovery resets every session
+    lineage_.bump();  // crash recovery resets every session
     logger().warn() << config_.name << ": handler crash: " << crash.what;
     for (auto& [peer, peer_fsm] : fsms_) {
       peer_fsm->reset_transport("daemon crash: " + crash.what);
@@ -125,21 +130,21 @@ void FsmEngine::deliver_data(sim::NodeId from, const util::Bytes& payload) {
 // ---------------------------------------------------------------------------
 
 void FsmEngine::fsm_established(sim::NodeId peer) {
-  ++state_version_;  // full-table send populates Adj-RIB-Out
+  lineage_.bump();  // full-table send populates Adj-RIB-Out
   if (PeerFsm* f = fsm(peer)) send_full_table(*f);
 }
 
 void FsmEngine::fsm_down(sim::NodeId peer, const std::string& reason) {
   (void)reason;
-  ++state_version_;  // Adj-RIBs flushed below
-  auto it = adj_in_.find(peer);
-  if (it != adj_in_.end()) {
+  lineage_.bump();  // Adj-RIBs flushed below
+  auto it = lineage_.adj_in.find(peer);
+  if (it != lineage_.adj_in.end()) {
     for (const auto& [prefix, route] : it->second.table()) {
       bus_.post(RouteEvent{RouteEvent::Kind::kPeerLost, prefix, peer});
     }
-    adj_in_.erase(it);
+    lineage_.adj_in.erase(it);
   }
-  adj_out_.erase(peer);
+  lineage_.adj_out.erase(peer);
   bus_.drain([this](const util::IpPrefix& prefix) { decide(prefix); });
   if (auto_restart_) schedule_restart(peer);
 }
@@ -154,7 +159,7 @@ void FsmEngine::schedule_restart(sim::NodeId peer) {
 
 void FsmEngine::fsm_update(sim::NodeId peer, const bgp::UpdateMessage& update) {
   ++stats_.updates_received;
-  ++state_version_;  // import touches Adj-RIB-In (and, via drain, the rest)
+  lineage_.bump();  // import touches Adj-RIB-In (and, via drain, the rest)
   import_update(peer, update);
   bus_.drain([this](const util::IpPrefix& prefix) { decide(prefix); });
 }
@@ -166,7 +171,7 @@ void FsmEngine::fsm_update(sim::NodeId peer, const bgp::UpdateMessage& update) {
 void FsmEngine::import_update(sim::NodeId peer, const bgp::UpdateMessage& update) {
   PeerFsm* f = fsm(peer);
   if (f == nullptr) return;
-  bgp::Rib& rib_in = adj_in_[peer];
+  bgp::Rib& rib_in = lineage_.adj_in[peer];
 
   for (const util::IpPrefix& prefix : update.withdrawn) {
     if (rib_in.erase(prefix)) {
@@ -237,7 +242,7 @@ std::vector<bgp::Route> FsmEngine::collect_candidates(const util::IpPrefix& pref
       config_.networks.end()) {
     candidates.push_back(bgp::local_route(config_, prefix));
   }
-  for (const auto& [peer, rib] : adj_in_) {
+  for (const auto& [peer, rib] : lineage_.adj_in) {
     if (const bgp::Route* route = rib.find(prefix)) candidates.push_back(*route);
   }
   return candidates;
@@ -271,19 +276,19 @@ void FsmEngine::decide(const util::IpPrefix& prefix) {
   const std::vector<bgp::Route> candidates = collect_candidates(prefix);
   const std::size_t best = choose_best(candidates);
 
-  const bgp::Route* current = loc_rib_.find(prefix);
+  const bgp::Route* current = lineage_.loc_rib.find(prefix);
   if (best == SIZE_MAX) {
-    if (loc_rib_.erase(prefix)) {
+    if (lineage_.loc_rib.erase(prefix)) {
       ++stats_.best_changes;
-      max_best_flips_ = std::max(max_best_flips_, ++best_flips_[prefix]);
+      lineage_.count_flip(prefix);
       propagate(prefix);
     }
     return;
   }
   if (current != nullptr && *current == candidates[best]) return;
-  loc_rib_.upsert(candidates[best]);
+  lineage_.loc_rib.upsert(candidates[best]);
   ++stats_.best_changes;
-  max_best_flips_ = std::max(max_best_flips_, ++best_flips_[prefix]);
+  lineage_.count_flip(prefix);
   propagate(prefix);
 }
 
@@ -294,15 +299,15 @@ void FsmEngine::propagate(const util::IpPrefix& prefix) {
 }
 
 void FsmEngine::send_full_table(PeerFsm& fsm) {
-  for (const auto& [prefix, route] : loc_rib_.table()) {
+  for (const auto& [prefix, route] : lineage_.loc_rib.table()) {
     export_to_peer(fsm, prefix);
   }
 }
 
 void FsmEngine::export_to_peer(PeerFsm& fsm, const util::IpPrefix& prefix) {
   const sim::NodeId peer = fsm.peer_node();
-  bgp::Rib& rib_out = adj_out_[peer];
-  const bgp::Route* best = loc_rib_.find(prefix);
+  bgp::Rib& rib_out = lineage_.adj_out[peer];
+  const bgp::Route* best = lineage_.loc_rib.find(prefix);
 
   const auto withdraw_if_advertised = [&] {
     if (rib_out.erase(prefix)) {
@@ -362,134 +367,46 @@ void FsmEngine::export_to_peer(PeerFsm& fsm, const util::IpPrefix& prefix) {
 
 void FsmEngine::for_each_decision(
     const std::function<void(const DecisionView&)>& fn) const {
-  bgp::for_each_rib_decision(config_, adj_in_, loc_rib_, fn);
+  bgp::for_each_rib_decision(config_, lineage_.adj_in, lineage_.loc_rib, fn);
 }
 
 // ---------------------------------------------------------------------------
-// Checkpoint / restore — the shared v2 stream (bgp/checkpoint_codec.hpp)
+// Checkpoint / restore — bgp::CheckpointLineage, fed this engine's FSMs
 // ---------------------------------------------------------------------------
-
-void FsmEngine::checkpoint(util::ByteWriter& writer) const {
-  using bgp::ckpt::Tag;
-  util::ByteWriter body;
-  bgp::ckpt::AttrPoolEncoder pool;
-
-  body.u8(static_cast<std::uint8_t>(Tag::kSessions));
-  body.vu32(static_cast<std::uint32_t>(fsms_.size()));
-  for (const auto& [peer, fsm] : fsms_) {
-    body.vu32(peer);
-    bgp::ckpt::write_session_v2(body, fsm->to_checkpoint());
-  }
-  body.u8(static_cast<std::uint8_t>(Tag::kAdjIn));
-  body.vu32(static_cast<std::uint32_t>(adj_in_.size()));
-  for (const auto& [peer, rib] : adj_in_) {
-    body.vu32(peer);
-    bgp::ckpt::write_rib_v2(body, rib, pool);
-  }
-  body.u8(static_cast<std::uint8_t>(Tag::kLocRib));
-  bgp::ckpt::write_rib_v2(body, loc_rib_, pool);
-  body.u8(static_cast<std::uint8_t>(Tag::kAdjOut));
-  body.vu32(static_cast<std::uint32_t>(adj_out_.size()));
-  for (const auto& [peer, rib] : adj_out_) {
-    body.vu32(peer);
-    bgp::ckpt::write_rib_v2(body, rib, pool);
-  }
-  body.u8(static_cast<std::uint8_t>(Tag::kFlips));
-  body.vu32(static_cast<std::uint32_t>(best_flips_.size()));
-  for (const auto& [prefix, count] : best_flips_) {
-    body.u32(prefix.address().value());
-    body.u8(prefix.length());
-    body.vu32(count);
-  }
-
-  writer.u8(bgp::ckpt::kFormatV2);
-  pool.emit(writer);
-  writer.raw(body.span());
-  writer.u8(static_cast<std::uint8_t>(Tag::kEnd));
-}
 
 util::Result<std::shared_ptr<const snapshot::DecodedCheckpoint>> FsmEngine::parse(
     util::ByteReader& reader) const {
-  static obs::Counter& decode_counter =
-      obs::MetricsRegistry::global().counter(obs::names::kCheckpointDecodes);
   static obs::Counter& fsm_decode_counter =
       obs::MetricsRegistry::global().counter(obs::names::kFsmDecodes);
-  decode_counter.add();
   fsm_decode_counter.add();
-
-  auto state = bgp::ckpt::read_router_v2(reader, [this](sim::NodeId peer) {
+  return bgp::CheckpointLineage::parse(reader, [this](sim::NodeId peer) {
     return fsms_.find(peer) != fsms_.end();
   });
-  if (!state) return state.error();
-  auto decoded = std::make_shared<FsmCheckpoint>();
-  decoded->state = std::move(state).take();
-  return std::shared_ptr<const snapshot::DecodedCheckpoint>(std::move(decoded));
 }
 
 util::Status FsmEngine::apply(const snapshot::DecodedCheckpoint& state) {
-  const auto* decoded = dynamic_cast<const FsmCheckpoint*>(&state);
-  if (decoded == nullptr) return util::make_error("router.apply.wrong_type");
-  static obs::Counter& apply_counter =
-      obs::MetricsRegistry::global().counter(obs::names::kFsmApplies);
-  apply_counter.add();
-  ++state_version_;
-
-  for (const auto& [peer, checkpoint] : decoded->state.sessions) {
-    PeerFsm* f = fsm(peer);
-    if (f == nullptr) return util::make_error("router.restore.unknown_peer");
-    f->apply_checkpoint(checkpoint);
-  }
-
-  bus_.reset();
-  adj_in_.clear();
-  for (const auto& [peer, rib] : decoded->state.adj_in) adj_in_[peer] = rib;
-  loc_rib_ = decoded->state.loc_rib;
-  adj_out_.clear();
-  for (const auto& [peer, rib] : decoded->state.adj_out) adj_out_[peer] = rib;
-
-  best_flips_.clear();
-  max_best_flips_ = 0;
-  for (const auto& [prefix, count] : decoded->state.best_flips) {
-    best_flips_[prefix] = count;
-    max_best_flips_ = std::max(max_best_flips_, count);
-  }
-  applied_ = state.weak_from_this();
-  applied_version_ = state_version_;
-  return util::Status::success();
-}
-
-std::uint64_t FsmEngine::encode_checkpoint(util::ByteWriter& writer,
-                                           snapshot::SnapshotId this_snapshot,
-                                           snapshot::SnapshotId baseline) {
-  if (baseline != 0 && last_checkpoint_.snapshot == baseline &&
-      last_checkpoint_.version == state_version_) {
-    writer.u8(snapshot::kCheckpointSameAsBaseline);
-    last_checkpoint_.snapshot = this_snapshot;
-    return last_checkpoint_.hash;
-  }
-  const std::size_t before = writer.size();
-  checkpoint(writer);
-  const std::uint64_t hash =
-      util::fnv1a(std::span(writer.span()).subspan(before));
-  last_checkpoint_ = {this_snapshot, state_version_, hash};
-  return hash;
+  return lineage_.apply(state, [this](const auto& sessions) -> util::Status {
+    static obs::Counter& apply_counter =
+        obs::MetricsRegistry::global().counter(obs::names::kFsmApplies);
+    apply_counter.add();
+    for (const auto& [peer, checkpoint] : sessions) {
+      PeerFsm* f = fsm(peer);
+      if (f == nullptr) return util::make_error("router.restore.unknown_peer");
+      f->apply_checkpoint(checkpoint);
+    }
+    bus_.reset();
+    return util::Status::success();
+  });
 }
 
 void FsmEngine::reset_for_reuse() {
   abort_snapshot();
   for (auto& [peer, fsm] : fsms_) fsm->reset_for_reuse();
   bus_.reset();
-  adj_in_.clear();
-  loc_rib_.clear();
-  adj_out_.clear();
-  best_flips_.clear();
-  max_best_flips_ = 0;
+  lineage_.reset_for_reuse();
   stats_ = {};
   auto_restart_ = true;
   restart_delay_ = sim::kSecond;
-  ++state_version_;
-  last_checkpoint_ = {};  // arena reuse crosses snapshot lineages: no deltas
-  applied_.reset();
 }
 
 }  // namespace dice::bgp2

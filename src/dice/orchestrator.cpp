@@ -143,8 +143,8 @@ struct CleanNodeVerdicts final : snapshot::CheckpointMemo {
 
 #ifdef DICE_CHECK_AUDIT
 /// Sanitizer builds: the incremental check must reproduce the full one
-/// exactly, content and order. Any difference is a missed state_version_
-/// bump or a cache bug, and aborts.
+/// exactly, content and order. Any difference is a missed lineage version
+/// bump (bgp::CheckpointLineage::bump) or a cache bug, and aborts.
 void audit_against_full(const std::vector<FaultReport>& incremental,
                         const std::vector<FaultReport>& full) {
   if (incremental == full) return;

@@ -36,11 +36,6 @@ void CellMerger::finish_cell(std::size_t index) {
   flush_locked();
 }
 
-bool CellMerger::finished(std::size_t index) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return done_[index] != 0;
-}
-
 void CellMerger::finish_remaining() {
   const std::lock_guard<std::mutex> lock(mutex_);
   bool any = false;

@@ -57,10 +57,6 @@ class CellMerger {
   /// decidable. Safe to call exactly once per cell, from any thread.
   void finish_cell(std::size_t index);
 
-  /// Whether finish_cell(index) already ran. Only meaningful once
-  /// concurrent producers have quiesced.
-  [[nodiscard]] bool finished(std::size_t index) const;
-
   /// Flushes every cell that never landed (stop-token skips, drained
   /// tasks) so the stream covers all cells exactly once.
   /// Call after producers quiesced.
@@ -80,7 +76,7 @@ class CellMerger {
   std::vector<CellResult>* cells_;
   Options options_;
   FaultLedger ledger_;
-  mutable std::mutex mutex_;
+  std::mutex mutex_;
   std::vector<unsigned char> done_;
   /// Per-cell observer copies (allocated only when an observer is set);
   /// released as soon as the cell streams.

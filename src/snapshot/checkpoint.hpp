@@ -33,11 +33,12 @@ class CheckpointMemo {
 };
 
 /// Typed, immutable result of decoding a checkpoint once. Concrete
-/// subclasses live with the protocol (bgp::RouterCheckpoint); the snapshot
-/// layer only needs an opaque, shareable handle so one decode can feed many
-/// clones (PreparedSnapshot holds these via shared_ptr<const>). A node
-/// that applied one keeps a weak_ptr to it (weak_from_this) to name the
-/// state it restored from; one not owned by a shared_ptr names nothing.
+/// subclasses live with the protocol (bgp::RouterCheckpoint, the one form
+/// every BGP engine's v2 stream decodes into); the snapshot layer only
+/// needs an opaque, shareable handle so one decode can feed many clones
+/// (PreparedSnapshot holds these via shared_ptr<const>). A node that
+/// applied one keeps a weak_ptr to it (weak_from_this) to name the state
+/// it restored from; one not owned by a shared_ptr names nothing.
 class DecodedCheckpoint : public std::enable_shared_from_this<DecodedCheckpoint> {
  public:
   virtual ~DecodedCheckpoint() = default;
